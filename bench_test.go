@@ -265,12 +265,11 @@ func BenchmarkLockManager(b *testing.B) {
 // analysis predicts the single partition serializes every read of every
 // worker on one mutex.
 //
-// The scan shapes drive the same contended table through the range-scan
-// read path — a 128-row scan per transaction, page-grained batch versus
-// the per-row ablation (Config.DisableScanBatch) — so the lock path's
-// O(pages) vs O(rows) behaviour shows up in this benchmark's mutex
-// profile next to the point-read shape (profile one shape at a time:
-// `-bench 'BenchmarkLockManagerParallel/partitions=16/scan128-batch'`).
+// The scan shape drives the same contended table through the
+// page-grained range-scan read path — a 128-row scan per transaction —
+// so the lock path's O(pages) behaviour shows up in this benchmark's
+// mutex profile next to the point-read shape (profile one shape at a
+// time: `-bench 'BenchmarkLockManagerParallel/partitions=16/scan128'`).
 func BenchmarkLockManagerParallel(b *testing.B) {
 	const readsPerTxn = 8
 	for _, parts := range []int{1, 4, 16} {
@@ -300,48 +299,43 @@ func BenchmarkLockManagerParallel(b *testing.B) {
 				}
 			})
 		})
-		for _, mode := range []struct {
-			name   string
-			perRow bool
-		}{{"batch", false}, {"perrow", true}} {
-			b.Run(fmt.Sprintf("partitions=%d/scan128-%s", parts, mode.name), func(b *testing.B) {
-				db := pgssi.Open(pgssi.Config{Partitions: parts, DisableScanBatch: mode.perRow})
-				si := workload.SIBench{Rows: 1000}
-				if err := si.Setup(db); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := 0
-					for pb.Next() {
-						tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						i++
-						lo := fmt.Sprintf("k%06d", (i*128)%872)
-						hi := fmt.Sprintf("k%06d", (i*128)%872+128)
-						n := 0
-						if err := tx.Scan("sibench", lo, hi, func(string, []byte) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-						if n != 128 {
-							b.Errorf("scan saw %d rows, want 128", n)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
+		b.Run(fmt.Sprintf("partitions=%d/scan128", parts), func(b *testing.B) {
+			db := pgssi.Open(pgssi.Config{Partitions: parts})
+			si := workload.SIBench{Rows: 1000}
+			if err := si.Setup(db); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+					if err != nil {
+						b.Error(err)
+						return
 					}
-				})
+					i++
+					lo := fmt.Sprintf("k%06d", (i*128)%872)
+					hi := fmt.Sprintf("k%06d", (i*128)%872+128)
+					n := 0
+					if err := tx.Scan("sibench", lo, hi, func(string, []byte) bool {
+						n++
+						return true
+					}); err != nil {
+						b.Error(err)
+						return
+					}
+					if n != 128 {
+						b.Errorf("scan saw %d rows, want 128", n)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -369,56 +363,46 @@ func BenchmarkPartitionSweep(b *testing.B) {
 
 // BenchmarkScanParallel measures the serializable scan read path:
 // parallel workers each run one whole-table Serializable scan per
-// transaction, page-grained batch (the default: one shared page latch +
-// one batched lock-manager call per heap page) versus the legacy
-// per-row ablation (Config.DisableScanBatch: one latch + one CheckRead
-// per row). The rows axis controls how many heap pages a scan crosses
+// transaction (one shared page latch + one batched lock-manager call per
+// heap page). The rows axis controls how many heap pages a scan crosses
 // (64 rows ≈ 1 page, 1000 ≈ 16). The nightly workflow archives this
 // benchmark with a mutex profile next to the lock-contention,
 // lifecycle, and snapshot artifacts.
 func BenchmarkScanParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  pgssi.Config
-	}{
-		{"batch", pgssi.Config{}},
-		{"perrow", pgssi.Config{DisableScanBatch: true}},
-	} {
-		for _, rows := range []int{64, 1000} {
-			b.Run(fmt.Sprintf("%s/rows=%d", mode.name, rows), func(b *testing.B) {
-				db := pgssi.Open(mode.cfg)
-				si := workload.SIBench{Rows: rows}
-				if err := si.Setup(db); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						n := 0
-						if err := tx.Scan("sibench", "", "", func(string, []byte) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-						if n != rows {
-							b.Errorf("scan saw %d rows, want %d", n, rows)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
+	for _, rows := range []int{64, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			db := pgssi.Open(pgssi.Config{})
+			si := workload.SIBench{Rows: rows}
+			if err := si.Setup(db); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+					if err != nil {
+						b.Error(err)
+						return
 					}
-				})
+					n := 0
+					if err := tx.Scan("sibench", "", "", func(string, []byte) bool {
+						n++
+						return true
+					}); err != nil {
+						b.Error(err)
+						return
+					}
+					if n != rows {
+						b.Errorf("scan saw %d rows, want %d", n, rows)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
 			})
-		}
+		})
 	}
 }
 

@@ -184,28 +184,13 @@ type Config struct {
 	// is the assigned CSN. Test-only interleaving hook used by the
 	// CSN-window harness.
 	OnCSNPublish func(xid, seq uint64)
-	// CommitLogPartitions is the number of hash shards in the MVCC
-	// commit log. Rounded up to a power of two; defaults to 64.
-	CommitLogPartitions int
 
-	// DisableScanBatch routes Tx.Scan and Tx.ScanIndex through the
-	// legacy per-row read path — one page-latch acquisition and one
-	// lock-manager call per row — instead of the page-grained batch
-	// path (storage.ReadPageBatch + core.AcquireTupleLockBatch), which
-	// latches each heap page once and registers the page's SIREAD locks
-	// in one batch. Semantics are identical; this is the A/B ablation
-	// knob for the scan benchmarks and the fuzzer's batching axis.
-	DisableScanBatch bool
-
-	// LatchPartitions is the number of shards in each table's per-page
-	// read latch table (the engine's analogue of PostgreSQL's buffer
-	// content lock for SSI; see internal/storage/latch.go). Rounded up
-	// to a power of two; defaults to 64.
-	LatchPartitions int
-	// DisableReadLatch disables the per-page read latch, reopening the
-	// detection window between a read's MVCC visibility check and its
-	// SIREAD-lock insertion. Test-only ablation: with it set, a writer
-	// racing a reader can miss an rw-antidependency and admit a
+	// DisableReadLatch disables the per-page read latch (the engine's
+	// analogue of PostgreSQL's buffer content lock for SSI; see
+	// internal/storage/latch.go), reopening the detection window
+	// between a read's MVCC visibility check and its SIREAD-lock
+	// insertion. Test-only ablation: with it set, a writer racing a
+	// reader can miss an rw-antidependency and admit a
 	// non-serializable execution. Never set it in production.
 	DisableReadLatch bool
 	// OnRead, if non-nil, is invoked on every heap read between the
@@ -214,11 +199,6 @@ type Config struct {
 	// the latch enabled it runs while the page latch is held.
 	OnRead func(table, key string)
 
-	// DisableDurableWAL makes OpenDir behave like Open: no segment
-	// files, no recovery, no fsync on commit. Ablation knob for A/B
-	// against the durable commit path; the in-memory log-shipping WAL
-	// (AttachWAL) is unaffected either way.
-	DisableDurableWAL bool
 	// FsyncMode selects how commit acknowledgement relates to fsync
 	// when the durable WAL is open: FsyncBatch (default) group-commits
 	// behind a short gather window, FsyncAlways syncs every flush
@@ -227,9 +207,6 @@ type Config struct {
 	// WALSegmentSize is the durable WAL's segment rotation threshold
 	// (default wal.DefaultSegmentSize).
 	WALSegmentSize int64
-	// WALGroupWindow is the FsyncBatch gather delay (default
-	// wal.DefaultGroupWindow).
-	WALGroupWindow time.Duration
 	// WALFS overrides the durable WAL's filesystem; nil means the OS
 	// filesystem. Test-only: the fault-injection suites inject a
 	// wal.FaultFS here.
@@ -255,7 +232,6 @@ func (c Config) storageConfig() storage.Config {
 	return storage.Config{
 		IODelay:          c.IODelay,
 		CacheMissRatio:   c.CacheMissRatio,
-		LatchPartitions:  c.LatchPartitions,
 		DisableReadLatch: c.DisableReadLatch,
 		Hooks:            storage.Hooks{OnRead: c.OnRead},
 	}
@@ -265,7 +241,6 @@ func (c Config) mvccConfig() mvcc.Config {
 	cfg := mvcc.Config{
 		DisableCSNSnapshots: c.DisableCSNSnapshots,
 		DisableCSNFencing:   c.DisableCSNFencing,
-		LogPartitions:       c.CommitLogPartitions,
 	}
 	if h := c.OnCSNPublish; h != nil {
 		cfg.OnCSNPublish = func(xid mvcc.TxID, seq mvcc.SeqNo) { h(uint64(xid), uint64(seq)) }
@@ -350,12 +325,11 @@ type DB struct {
 	// sequences in the log monotone.
 	markerSeq atomic.Uint64
 
-	// durable is the on-disk WAL, non-nil only for OpenDir without
-	// DisableDurableWAL; walPending carries each committing
-	// transaction's pre-encoded record from walPrepare (on the
-	// committer's goroutine, outside all locks) to walCommitHook
-	// (inside the MVCC commit publication critical section), keyed by
-	// xid. See recovery.go.
+	// durable is the on-disk WAL, non-nil only for OpenDir; walPending
+	// carries each committing transaction's pre-encoded record from
+	// walPrepare (on the committer's goroutine, outside all locks) to
+	// walCommitHook (inside the MVCC commit publication critical
+	// section), keyed by xid. See recovery.go.
 	durable    *wal.DurableLog
 	walPending sync.Map
 

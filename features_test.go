@@ -3,6 +3,7 @@ package pgssi_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -447,6 +448,12 @@ func TestRunTxRetriesUntilCommit(t *testing.T) {
 }
 
 func TestSecondaryIndexMaintenance(t *testing.T) {
+	for _, level := range []pgssi.IsolationLevel{pgssi.Serializable, pgssi.RepeatableRead, pgssi.SerializableS2PL} {
+		t.Run(level.String(), func(t *testing.T) { testSecondaryIndexMaintenance(t, level) })
+	}
+}
+
+func testSecondaryIndexMaintenance(t *testing.T, level pgssi.IsolationLevel) {
 	db := pgssi.Open(pgssi.Config{})
 	mustExec(t, db.CreateTable("people"))
 	mustExec(t, db.CreateIndex("people", "by_city", func(_ string, v []byte) (string, bool) {
@@ -459,7 +466,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 		return nil
 	})
 	mustExec(t, err)
-	tx, _ := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+	tx, _ := db.Begin(pgssi.TxOptions{Isolation: level})
 	var got []string
 	mustExec(t, tx.ScanIndex("people", "by_city", "boston", "boston\xff", func(k string, _ []byte) bool {
 		got = append(got, k)
@@ -486,6 +493,28 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	}))
 	if len(got) != 3 {
 		t.Fatalf("after update, boston scan found %v", got)
+	}
+	mustExec(t, tx.Commit())
+
+	// Bounds containing NUL: entries are stored as ik+"\x00"+pk, yet
+	// the range must still be exactly lo <= ik < hi.
+	mustExec(t, db.RunTx(pgssi.TxOptions{}, func(tx *pgssi.Tx) error {
+		return tx.Insert("people", "dan", []byte("boston\x00x"))
+	}))
+	tx, _ = db.Begin(pgssi.TxOptions{Isolation: level})
+	for _, tc := range []struct{ lo, hi, want string }{
+		{"boston", "boston\x00", "ann,bob,cam"},
+		{"boston\x00", "boston\x01", "dan"},
+		{"boston", "boston\x00y", "ann,bob,cam,dan"},
+	} {
+		got = got[:0]
+		mustExec(t, tx.ScanIndex("people", "by_city", tc.lo, tc.hi, func(k string, _ []byte) bool {
+			got = append(got, k)
+			return true
+		}))
+		if g := strings.Join(got, ","); g != tc.want {
+			t.Fatalf("ScanIndex [%q, %q) = %s, want %s", tc.lo, tc.hi, g, tc.want)
+		}
 	}
 	mustExec(t, tx.Commit())
 }

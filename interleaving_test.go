@@ -63,11 +63,19 @@ func (p *readPauser) hook(_, key string) {
 
 // windowDB builds a two-row database whose rows land on distinct heap
 // pages (64 filler rows push k2 onto the next page), so the latch held
-// by a paused reader of k1 does not incidentally block reads of k2.
+// by a paused reader of k1 does not incidentally block reads of k2. The
+// secondary index "by_key" is keyed by the primary key, so an update
+// never inserts an index entry: an index-page SIREAD conflict cannot
+// stand in for the heap-tuple one the latch protects.
 func windowDB(t *testing.T, cfg pgssi.Config) *pgssi.DB {
 	t.Helper()
 	db := pgssi.Open(cfg)
 	if err := db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("t", "by_key", func(key string, _ []byte) (string, bool) {
+		return key, true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	seed, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
@@ -83,19 +91,34 @@ func windowDB(t *testing.T, cfg pgssi.Config) *pgssi.DB {
 	return db
 }
 
-// readKey reads one key either through the point-read path (Get) or the
-// index-scan path (Scan), the two paths whose SIREAD registration the
-// latch must make atomic with the visibility check.
-func readKey(tx *pgssi.Tx, key string, viaScan bool) ([]byte, error) {
-	if !viaScan {
-		return tx.Get("t", key)
-	}
+// readPath names a read path whose SIREAD registration the latch must
+// make atomic with the visibility check: the point read (Get), the
+// primary-key range scan (Scan) or the secondary-index scan (ScanIndex).
+type readPath string
+
+const (
+	viaGet       readPath = "Get"
+	viaScan      readPath = "Scan"
+	viaScanIndex readPath = "ScanIndex"
+)
+
+// readKey reads one key through the given read path.
+func readKey(tx *pgssi.Tx, key string, via readPath) ([]byte, error) {
 	var val []byte
 	found := false
-	err := tx.Scan("t", key, key+"\x00", func(_ string, v []byte) bool {
+	collect := func(_ string, v []byte) bool {
 		val, found = v, true
 		return true
-	})
+	}
+	var err error
+	switch via {
+	case viaGet:
+		return tx.Get("t", key)
+	case viaScan:
+		err = tx.Scan("t", key, key+"\x00", collect)
+	case viaScanIndex:
+		err = tx.ScanIndex("t", "by_key", key, key+"\x00", collect)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +137,7 @@ func readKey(tx *pgssi.Tx, key string, viaScan bool) ([]byte, error) {
 // With the latch disabled T2 commits entirely inside T1's window; with
 // it enabled T2 blocks on the page latch until T1's SIREAD lock is in
 // the table. Returns the first error of each transaction.
-func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *readPauser, disableLatch, viaScan bool) (err1, err2 error) {
+func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *readPauser, disableLatch bool, via readPath) (err1, err2 error) {
 	t.Helper()
 	t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
@@ -130,7 +153,7 @@ func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *readPauser, disableLatc
 	go func() {
 		defer close(t1finished)
 		t1err = func() error {
-			if _, err := readKey(t1, "k1", viaScan); err != nil {
+			if _, err := readKey(t1, "k1", via); err != nil {
 				t1.Rollback()
 				return err
 			}
@@ -150,7 +173,7 @@ func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *readPauser, disableLatc
 		defer close(t2finished)
 		<-t2start
 		t2err = func() error {
-			if _, err := readKey(t2, "k2", viaScan); err != nil {
+			if _, err := readKey(t2, "k2", via); err != nil {
 				t2.Rollback()
 				return err
 			}
@@ -206,21 +229,19 @@ func onCount(t *testing.T, db *pgssi.DB) int {
 }
 
 func TestDetectionWindowWriteSkew(t *testing.T) {
-	// The Scan case runs through BOTH scan read paths: the page-grained
-	// batch path (the default — visibility and SIREAD registration for
-	// the whole page happen under one shared latch, registration before
-	// the latch drops) and the legacy per-row path
-	// (Config.DisableScanBatch). The batch path must preserve the PR 2
-	// atomicity exactly: with the latch ablated the same missed
-	// antidependency reappears through the batched code, and with it
-	// enabled the writer provably blocks until the batch's registration
-	// is in the table.
-	for _, via := range []struct {
-		name    string
-		viaScan bool
-		perRow  bool
-	}{{"Get", false, false}, {"Scan-batch", true, false}, {"Scan-perrow", true, true}} {
-		t.Run(via.name, func(t *testing.T) {
+	// Scan and ScanIndex run the page-grained read path: visibility and
+	// SIREAD registration for the whole page happen under one shared
+	// latch, registration before the latch drops. It must preserve the
+	// point read's atomicity exactly: with the latch ablated the same
+	// missed antidependency reappears through the batched code, and
+	// with it enabled the writer provably blocks until the batch's
+	// registration is in the table.
+	for _, tc := range []struct {
+		name string
+		via  readPath
+	}{{"Get", viaGet}, {"Scan-batch", viaScan}, {"ScanIndex", viaScanIndex}} {
+		via := tc.via
+		t.Run(tc.name, func(t *testing.T) {
 			t.Run("latch-disabled-misses-antidependency", func(t *testing.T) {
 				// The regression PR 2 fixed, reproduced: with the
 				// latch ablated, T2's CheckWrite runs in T1's window,
@@ -228,13 +249,13 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 				// version, and the rw-antidependency T1 → T2 is lost.
 				// Both transactions commit and the write-skew anomaly
 				// survives SERIALIZABLE.
-				err1, err2 := runWindowWriteSkewCheck(t, true, via.viaScan, via.perRow)
+				err1, err2 := runWindowWriteSkewCheck(t, true, via)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("expected the unlatched engine to miss the conflict and commit both: err1=%v err2=%v", err1, err2)
 				}
 			})
 			t.Run("latch-enabled-detects", func(t *testing.T) {
-				err1, err2 := runWindowWriteSkewCheck(t, false, via.viaScan, via.perRow)
+				err1, err2 := runWindowWriteSkewCheck(t, false, via)
 				if (err1 == nil) == (err2 == nil) {
 					t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
 				}
@@ -253,11 +274,11 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 // runWindowWriteSkewCheck runs the interleaving and verifies the final
 // state matches the commit outcome: the invariant "at least one of k1,
 // k2 is on" is broken exactly when both transactions committed.
-func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan, perRow bool) (err1, err2 error) {
+func runWindowWriteSkewCheck(t *testing.T, disableLatch bool, via readPath) (err1, err2 error) {
 	t.Helper()
 	p := newReadPauser()
-	db := windowDB(t, pgssi.Config{DisableReadLatch: disableLatch, DisableScanBatch: perRow, OnRead: p.hook})
-	err1, err2 = driveWindowWriteSkew(t, db, p, disableLatch, viaScan)
+	db := windowDB(t, pgssi.Config{DisableReadLatch: disableLatch, OnRead: p.hook})
+	err1, err2 = driveWindowWriteSkew(t, db, p, disableLatch, via)
 	aborted := 0
 	for _, e := range []error{err1, err2} {
 		if e != nil {
@@ -279,12 +300,9 @@ func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan, perRow bool) (
 // "if the write happens first" case) and detection cannot depend on the
 // latch. Exactly one transaction must abort with the latch on or off.
 func TestDetectionWindowWriterFirst(t *testing.T) {
-	for _, via := range []struct {
-		name    string
-		viaScan bool
-	}{{"Get", false}, {"Scan", true}} {
+	for _, via := range []readPath{viaGet, viaScan, viaScanIndex} {
 		for _, disable := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/latch-disabled=%v", via.name, disable), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/latch-disabled=%v", via, disable), func(t *testing.T) {
 				db := windowDB(t, pgssi.Config{DisableReadLatch: disable})
 				t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 				mustExec(t, err)
@@ -294,7 +312,7 @@ func TestDetectionWindowWriterFirst(t *testing.T) {
 				// T2 runs to completion first (T1's snapshot already
 				// taken, so the transactions are concurrent).
 				var err2 error
-				if _, err := readKey(t2, "k2", via.viaScan); err != nil {
+				if _, err := readKey(t2, "k2", via); err != nil {
 					t.Fatal(err)
 				}
 				if err := t2.Update("t", "k1", []byte("off")); err != nil {
@@ -308,7 +326,7 @@ func TestDetectionWindowWriterFirst(t *testing.T) {
 				// T1's read of k1 now sees T2's committed, invisible
 				// version: conflict out via MVCC.
 				var err1 error
-				if _, err := readKey(t1, "k1", via.viaScan); err != nil {
+				if _, err := readKey(t1, "k1", via); err != nil {
 					err1 = err
 					t1.Rollback()
 				} else if err := t1.Update("t", "k2", []byte("off")); err != nil {

@@ -115,7 +115,7 @@ func (m *Manager) coveredXLocked(x *Xact, t Target) bool {
 // AcquireTupleLockBatch records SIREAD locks for x on a batch of tuples
 // whose read versions share one heap page — semantically identical to
 // calling AcquireTupleLock per key, but O(1) in lock-path acquisitions
-// where the per-row path is O(rows): x.lockMu is taken once for the
+// where per-key calls are O(rows): x.lockMu is taken once for the
 // whole batch, the covered/dup checks run against x's own lock set in
 // that single critical section, the surviving inserts are grouped so
 // each partition mutex is taken at most once, and promotion bookkeeping
@@ -170,9 +170,9 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 	if len(targets) == 0 {
 		return false
 	}
-	// Global capacity bound, batch-wise: same trigger as the per-row
-	// path (gauge already at the bound), with the same tolerance for
-	// brief overshoot under concurrency.
+	// Global capacity bound, batch-wise: same trigger as
+	// AcquireTupleLock (gauge already at the bound), with the same
+	// tolerance for brief overshoot under concurrency.
 	if int(m.locksCurrent.Load()) >= m.cfg.MaxPredicateLocks {
 		m.capacityPromotions.Add(1)
 		m.promoteToRelationXLocked(x, rel)

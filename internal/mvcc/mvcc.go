@@ -138,22 +138,11 @@ type Config struct {
 	// ablation modes. Set it before the Manager sees any traffic (see
 	// SetOnCommitPublish).
 	OnCommitPublish func(xid TxID, seq SeqNo)
-	// LogPartitions is the number of hash shards in the commit log.
-	// Rounded up to a power of two; defaults to 64.
-	LogPartitions int
 }
 
-func (c Config) withDefaults() Config {
-	if c.LogPartitions <= 0 {
-		c.LogPartitions = 64
-	}
-	n := 1
-	for n < c.LogPartitions {
-		n <<= 1
-	}
-	c.LogPartitions = n
-	return c
-}
+// logPartitions is the number of hash shards in the commit log (a power
+// of two, so shard selection is a mask).
+const logPartitions = 64
 
 // Snapshot is a consistent view of the database. In the default CSN
 // representation it is just the published commit-sequence counter value
@@ -278,9 +267,8 @@ type logShard struct {
 // truncMu serializes truncations and orders before shard mutexes. CSN
 // mode never takes mu.
 type Manager struct {
-	cfg       Config
-	shards    []logShard
-	shardMask uint64
+	cfg    Config
+	shards []logShard
 
 	// lastXID is the most recently assigned transaction ID.
 	lastXID atomic.Uint64
@@ -326,12 +314,7 @@ type Manager struct {
 // New returns a Manager with the given configuration. The first assigned
 // transaction ID is 1.
 func New(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
-	m := &Manager{
-		cfg:       cfg,
-		shards:    make([]logShard, cfg.LogPartitions),
-		shardMask: uint64(cfg.LogPartitions - 1),
-	}
+	m := &Manager{cfg: cfg, shards: make([]logShard, logPartitions)}
 	for i := range m.shards {
 		m.shards[i].recs = make(map[TxID]*txRecord)
 		m.shards[i].active = make(map[TxID]struct{})
@@ -347,7 +330,7 @@ func NewManager() *Manager {
 }
 
 func (m *Manager) shard(xid TxID) *logShard {
-	return &m.shards[uint64(xid)&m.shardMask]
+	return &m.shards[uint64(xid)&(logPartitions-1)]
 }
 
 // lookup returns xid's commit-log record, or nil.

@@ -11,11 +11,11 @@ import "sync"
 // no buffer manager, so the latch table supplies the equivalent mutual
 // exclusion directly.
 //
-// The table is sharded by page number into Config.LatchPartitions
-// mutexes (hash-partitioned like the SIREAD lock table in
+// The table is sharded by page number into latchPartitions mutexes
+// (hash-partitioned like the SIREAD lock table in
 // internal/core/partition.go). Collisions between distinct pages only
-// add mutual exclusion, never remove it, so the shard count is purely a
-// concurrency knob.
+// add mutual exclusion, never remove it, so the shard count only trades
+// memory for concurrency.
 //
 // Protocol (see also the ordering rules in internal/core/partition.go):
 //
@@ -66,8 +66,9 @@ import "sync"
 // held, which is also what makes the latch-before-shard reacquisition in
 // Read's retry path deadlock-free.
 
-// defaultLatchPartitions is the default page-latch shard count per table.
-const defaultLatchPartitions = 64
+// latchPartitions is the page-latch shard count per table (a power of
+// two, so shard selection is a mask).
+const latchPartitions = 64
 
 // Hooks are test-only interleaving hooks injected through Config. They
 // let a deterministic test park a goroutine inside a critical window
@@ -97,20 +98,11 @@ type Hooks struct {
 // ssilint enforces this — both the slice and the latch() getter carry
 // the annotation; see docs/invariants.md.
 type latchTable struct {
-	mask    uint64
 	latches []sync.RWMutex //ssi:lock level=10 name=storage.pageLatch
 }
 
-func newLatchTable(n int) *latchTable {
-	if n <= 0 {
-		n = defaultLatchPartitions
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return &latchTable{mask: uint64(p - 1), latches: make([]sync.RWMutex, p)}
+func newLatchTable() *latchTable {
+	return &latchTable{latches: make([]sync.RWMutex, latchPartitions)}
 }
 
 // latch returns the lock guarding page. Pages are allocated
@@ -120,5 +112,5 @@ func newLatchTable(n int) *latchTable {
 //ssi:lock level=10 name=storage.pageLatch
 func (lt *latchTable) latch(page int64) *sync.RWMutex {
 	h := uint64(page) * 0x9e3779b97f4a7c15
-	return &lt.latches[(h>>32)&lt.mask]
+	return &lt.latches[(h>>32)&(latchPartitions-1)]
 }

@@ -103,11 +103,6 @@ type Config struct {
 	// CacheMissRatio is the probability in [0,1] that a page access
 	// pays IODelay. Zero means every access is a hit.
 	CacheMissRatio float64
-	// LatchPartitions is the number of shards in the per-page read
-	// latch table (latch.go). Rounded up to a power of two; defaults
-	// to 64. Collisions only add mutual exclusion, so this is purely a
-	// concurrency knob.
-	LatchPartitions int
 	// DisableReadLatch disables the per-page read latch, reopening the
 	// window between the MVCC visibility check and SIREAD-lock
 	// insertion. Test-only ablation: the interleaving harness uses it
@@ -142,7 +137,7 @@ type shard struct {
 
 // NewTable creates an empty heap named name.
 func NewTable(name string, cfg Config) *Table {
-	t := &Table{name: name, cfg: cfg, latches: newLatchTable(cfg.LatchPartitions)}
+	t := &Table{name: name, cfg: cfg, latches: newLatchTable()}
 	for i := range t.shards {
 		t.shards[i].rows = make(map[string]*Tuple)
 	}

@@ -8,8 +8,7 @@
 // Two implementations share the Record format and the Stream interface:
 //
 //   - Log is the original in-memory logical log: nothing survives the
-//     process, it exists for replication plumbing and for A/B ablation
-//     against the durable path (pgssi Config.DisableDurableWAL).
+//     process, it exists for replication plumbing (pgssi's AttachWAL).
 //   - DurableLog (durable.go) persists records to CRC-framed segment
 //     files with group-commit fsync batching and crash recovery; see
 //     docs/wal.md for the normative on-disk format.

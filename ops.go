@@ -2,6 +2,7 @@ package pgssi
 
 import (
 	"errors"
+	"strings"
 
 	"pgssi/internal/btree"
 	"pgssi/internal/core"
@@ -39,8 +40,7 @@ type storageTuple = storage.Tuple
 // call before the latch drops — the same atomicity unit, amortized from
 // O(rows) to O(pages) lock-path acquisitions (§5.2.1's granularity
 // hierarchy is what makes the page the natural batch unit; a batch
-// never spans pages). Config.DisableScanBatch restores the per-row
-// path for A/B comparison.
+// never spans pages).
 
 // Get returns the value of key in table visible to the transaction, or
 // ErrNotFound. Under Serializable it acquires a SIREAD lock on the tuple
@@ -319,40 +319,9 @@ func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool)
 		keys = append(keys, k)
 		return true
 	})
-	if tx.db.cfg.DisableScanBatch {
-		return tx.scanRowsPerRow(ti, table, keys, snap, tracking, fn)
-	}
-	return tx.scanRowsBatched(ti, table, keys, snap, tracking, fn)
-}
-
-// scanRowsBatched is the page-grained scan read path: the btree range
-// result is grouped by the heap page of each row's visible version
-// (storage.ReadPageBatch), each page is latched once in shared mode,
-// and the page's surviving SIREAD inserts go to the lock manager as ONE
-// batch (core.AcquireTupleLockBatch) before the latch drops — the PR 2
-// {visibility, registration} atomicity preserved per page, at O(pages)
-// lock-path acquisitions instead of O(rows). MVCC conflict-out sets are
-// still flagged once per scan afterwards (safe out of the latch, see
-// the file comment), and rows are delivered after all checks so fn
-// never runs under a latch.
-func (tx *Tx) scanRowsBatched(ti *tableInfo, table string, keys []string, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	var conflicts []mvcc.TxID
-	err := ti.heap.ReadPageBatch(keys, snap, tx.xid, tx.db.mvcc, tracking, tx.batchReader(table, &conflicts, func(idx int, value []byte) {
-		vals[idx] = value
-		found[idx] = true
-	}))
+	vals, found, err := tx.readRows(ti, table, keys, snap, tracking)
 	if err != nil {
-		return mapStorageErr(err)
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
+		return err
 	}
 	for i, k := range keys {
 		if found[i] && !fn(k, vals[i]) {
@@ -362,32 +331,44 @@ func (tx *Tx) scanRowsBatched(ti *tableInfo, table string, keys []string, snap *
 	return nil
 }
 
-// batchReader builds the storage.ReadPageBatch callback shared by Scan
-// and ScanIndex's batch paths: it collects each page's MVCC
-// conflict-out sets, registers the page's surviving SIREAD locks in one
-// AcquireTupleLockBatch call while the page latch is held (skipping
-// keys the transaction wrote itself), and hands each visible row to
-// setVal with its input-slice index. Once the lock manager reports a
-// relation-granularity lock covers the table, the remaining pages'
-// registrations are skipped — the lock set only ever coarsens, so the
-// answer stays true for the rest of the scan.
-func (tx *Tx) batchReader(table string, conflicts *[]mvcc.TxID, setVal func(idx int, value []byte)) func(page int64, items []storage.BatchItem) error {
+// readRows is the page-grained MVCC read path Scan and ScanIndex share:
+// the rows of keys (which must be free of duplicates) are grouped by
+// the heap page of each row's visible version (storage.ReadPageBatch),
+// each page is latched once in shared mode, and the page's surviving
+// SIREAD inserts go to the lock manager as ONE batch
+// (core.AcquireTupleLockBatch) before the latch drops — the
+// {visibility, registration} atomicity of a point read preserved per
+// page, at O(pages) lock-path acquisitions instead of O(rows). Keys the
+// transaction wrote itself register nothing, and once the lock manager
+// reports a relation-granularity lock covers the table the remaining
+// pages' registrations are skipped — the lock set only ever coarsens,
+// so the answer stays true for the rest of the scan. MVCC conflict-out
+// sets are flagged once per scan afterwards (safe out of the latch, see
+// the file comment). vals[i] and found[i] describe keys[i]; the caller
+// delivers rows after all checks, so fn never runs under a latch.
+func (tx *Tx) readRows(ti *tableInfo, table string, keys []string, snap *mvcc.Snapshot, tracking bool) (vals [][]byte, found []bool, err error) {
+	if len(keys) == 0 {
+		return nil, nil, nil
+	}
+	vals = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	var conflicts []mvcc.TxID
 	var lockKeys []string
 	relCovered := false
-	return func(page int64, items []storage.BatchItem) error {
+	err = ti.heap.ReadPageBatch(keys, snap, tx.xid, tx.db.mvcc, tracking, func(page int64, items []storage.BatchItem) error {
 		switch {
 		case tx.x == nil:
 		case relCovered || page < 0:
 			// Covered (or an unlatched invisible-key group): nothing to
 			// register, only the MVCC conflicts matter.
 			for i := range items {
-				*conflicts = append(*conflicts, items[i].Res.ConflictOut...)
+				conflicts = append(conflicts, items[i].Res.ConflictOut...)
 			}
 		default:
 			lockKeys = lockKeys[:0]
 			for i := range items {
 				it := &items[i]
-				*conflicts = append(*conflicts, it.Res.ConflictOut...)
+				conflicts = append(conflicts, it.Res.ConflictOut...)
 				if it.Res.Tuple != nil && !tx.owns(table, it.Key) {
 					lockKeys = append(lockKeys, it.Key)
 				}
@@ -401,68 +382,28 @@ func (tx *Tx) batchReader(table string, conflicts *[]mvcc.TxID, setVal func(idx 
 			}
 		}
 		for i := range items {
-			it := &items[i]
-			if it.Res.Tuple != nil {
-				setVal(it.Idx, it.Res.Tuple.Value)
+			if tu := items[i].Res.Tuple; tu != nil {
+				vals[items[i].Idx] = tu.Value
+				found[items[i].Idx] = true
 			}
 		}
 		return nil
-	}
-}
-
-// scanRowsPerRow is the legacy per-row scan read path (one latched Read
-// and one CheckRead per row), kept behind Config.DisableScanBatch as
-// the A/B ablation for the batched path above.
-func (tx *Tx) scanRowsPerRow(ti *tableInfo, table string, keys []string, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	// Each row's SIREAD lock is inserted in the Read callback, under
-	// that row's page latch; the MVCC conflict-out sets are flagged in
-	// one batch afterwards (one SSI-mutex critical section per scan,
-	// and only when a conflict exists — deferring the flagging out of
-	// the latch is safe, see the file comment). Rows are delivered
-	// after all checks so fn never runs under a latch.
-	type row struct {
-		key   string
-		value []byte
-	}
-	var rows []row
-	var conflicts []mvcc.TxID
-	for _, k := range keys {
-		err := ti.heap.Read(k, snap, tx.xid, tx.db.mvcc, tracking, func(res storage.ReadResult) error {
-			if tx.x != nil {
-				conflicts = append(conflicts, res.ConflictOut...)
-			}
-			if res.Tuple == nil {
-				return nil
-			}
-			if tx.x != nil {
-				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, k, nil, tx.owns(table, k)); err != nil {
-					return err
-				}
-			}
-			rows = append(rows, row{k, res.Tuple.Value})
-			return nil
-		})
-		if err != nil {
-			return mapStorageErr(err)
-		}
+	})
+	if err != nil {
+		return nil, nil, mapStorageErr(err)
 	}
 	if tx.x != nil {
 		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
+			return nil, nil, mapStorageErr(err)
 		}
 	}
-	for _, r := range rows {
-		if !fn(r.key, r.value) {
-			break
-		}
-	}
-	return nil
+	return vals, found, nil
 }
 
 // ScanIndex scans the secondary index idx of table for lo <= indexKey <
-// hi, invoking fn with the primary key and row value. Because index
-// entries are retained for every row version, each hit is rechecked
-// against the visible row before delivery.
+// hi (hi == "" means unbounded), invoking fn with the primary key and
+// row value. Because index entries are retained for every row version,
+// each hit is rechecked against the visible row before delivery.
 func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []byte) bool) error {
 	if err := tx.checkUsable(false); err != nil {
 		return err
@@ -475,15 +416,9 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 	if err != nil {
 		return err
 	}
-	// Entries are ik+"\x00"+pk; translate the range bounds.
-	elo := lo
-	ehi := hi
-	if ehi != "" {
-		// Entries for index key K sort as K+"\x00"+pk < K+"\x01", so
-		// the exclusive bound carries over directly.
-	}
+	ehi := indexEntryBound(hi)
 	if tx.level == SerializableS2PL {
-		return tx.s2plScan(ti, si.tree, si.name, elo, ehi, func(entryKey, pk string) (string, bool) {
+		return tx.s2plScan(ti, si.tree, si.name, lo, ehi, func(entryKey, pk string) (string, bool) {
 			return pk, true
 		}, tx.recheckWrap(ti, si, lo, hi, fn))
 	}
@@ -495,25 +430,26 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 			tx.db.ssi.AcquirePageLock(tx.x, si.name, int64(p))
 		}
 	}
+	// Index entries are retained for every row version, so the same
+	// primary key can appear under several (stale) index keys; one
+	// visibility-checked read per unique pk covers them all — the
+	// SIREAD lock is taken under the page latch even for hits the
+	// recheck filters out (the read happened, so the version must stay
+	// protected), and each hit is rechecked against the visible row it
+	// resolved to.
 	var hits []indexHit
-	si.tree.Range(elo, ehi, onPage, func(entryKey, pk string) bool {
+	si.tree.Range(lo, ehi, onPage, func(entryKey, pk string) bool {
 		ik := entryKey
 		if n := len(pk); len(entryKey) > n && entryKey[len(entryKey)-n-1] == 0 {
 			ik = entryKey[:len(entryKey)-n-1]
 		}
-		hits = append(hits, indexHit{ik, pk})
+		// A NUL in either bound widens the entry range (see
+		// indexEntryBound); drop the extra hits before the heap read.
+		if ik >= lo && (hi == "" || ik < hi) {
+			hits = append(hits, indexHit{ik, pk})
+		}
 		return true
 	})
-	if tx.db.cfg.DisableScanBatch {
-		return tx.scanIndexPerRow(ti, table, si, hits, snap, tracking, fn)
-	}
-	// Page-grained batch path, as in Scan. Index entries are retained
-	// for every row version, so the same primary key can appear under
-	// several (stale) index keys; one visibility-checked read per unique
-	// pk covers them all — the SIREAD lock is taken under the page latch
-	// even for hits the recheck filters out (the read happened, so the
-	// version must stay protected), and each hit is rechecked against
-	// the visible row it resolved to.
 	pks := make([]string, 0, len(hits))
 	pos := make(map[string]int, len(hits))
 	for _, h := range hits {
@@ -522,20 +458,9 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 			pks = append(pks, h.pk)
 		}
 	}
-	vals := make([][]byte, len(pks))
-	found := make([]bool, len(pks))
-	var conflicts []mvcc.TxID
-	err = ti.heap.ReadPageBatch(pks, snap, tx.xid, tx.db.mvcc, tracking, tx.batchReader(table, &conflicts, func(idx int, value []byte) {
-		vals[idx] = value
-		found[idx] = true
-	}))
+	vals, found, err := tx.readRows(ti, table, pks, snap, tracking)
 	if err != nil {
-		return mapStorageErr(err)
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
+		return err
 	}
 	for _, h := range hits {
 		p := pos[h.pk]
@@ -553,61 +478,23 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 	return nil
 }
 
+// indexEntryBound translates an index-key upper bound hi into an
+// exclusive bound on index entries, which are stored as ik+"\x00"+pk.
+// Without a NUL in hi, ik < hi exactly when ik+"\x00"+pk < hi, so hi
+// carries over. With one, entries under index keys that extend hi's
+// NUL-free prefix h0 by a NUL (hi itself included) sort above hi, so
+// the bound widens to h0+"\x01" and the caller filters the decoded
+// index keys.
+func indexEntryBound(hi string) string {
+	if i := strings.IndexByte(hi, 0); i >= 0 {
+		return hi[:i] + "\x01"
+	}
+	return hi
+}
+
 // indexHit is one secondary-index range entry: the index key it was
 // filed under and the primary key it names.
 type indexHit struct{ ik, pk string }
-
-// scanIndexPerRow is the legacy per-row index-scan read path — the
-// ScanIndex analogue of scanRowsPerRow, kept behind
-// Config.DisableScanBatch as the A/B ablation for the batched path.
-func (tx *Tx) scanIndexPerRow(ti *tableInfo, table string, si *secondaryIndex, hits []indexHit, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	type row struct {
-		pk    string
-		value []byte
-	}
-	var rows []row
-	var conflicts []mvcc.TxID
-	for _, h := range hits {
-		err := ti.heap.Read(h.pk, snap, tx.xid, tx.db.mvcc, tracking, func(res storage.ReadResult) error {
-			if tx.x != nil {
-				conflicts = append(conflicts, res.ConflictOut...)
-			}
-			if res.Tuple == nil {
-				return nil
-			}
-			// The SIREAD lock is taken under the page latch even for
-			// rows the recheck below filters out: the read happened,
-			// so the version must stay protected (as in Scan).
-			if tx.x != nil {
-				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, h.pk, nil, tx.owns(table, h.pk)); err != nil {
-					return err
-				}
-			}
-			// Recheck: the visible version must still match the
-			// index key.
-			ik, ok := si.fn(h.pk, res.Tuple.Value)
-			if !ok || ik != h.ik {
-				return nil
-			}
-			rows = append(rows, row{h.pk, res.Tuple.Value})
-			return nil
-		})
-		if err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	for _, r := range rows {
-		if !fn(r.pk, r.value) {
-			break
-		}
-	}
-	return nil
-}
 
 // recheckWrap adapts a user scan callback for the S2PL index-scan path,
 // applying the stale-entry recheck.

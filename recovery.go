@@ -40,17 +40,12 @@ import (
 // log order, stopping at the first torn or corrupt record — see
 // docs/wal.md) before the DB accepts traffic. Tables recorded in the log
 // are recreated automatically; secondary indexes are not logged and must
-// be recreated by the caller after OpenDir, before loading. With
-// cfg.DisableDurableWAL, OpenDir is exactly Open.
+// be recreated by the caller after OpenDir, before loading.
 func OpenDir(dir string, cfg Config) (*DB, error) {
 	db := Open(cfg)
-	if cfg.DisableDurableWAL {
-		return db, nil
-	}
 	wl, err := wal.OpenDir(dir, wal.Config{
 		SegmentSize: cfg.WALSegmentSize,
 		Fsync:       cfg.FsyncMode,
-		GroupWindow: cfg.WALGroupWindow,
 		FS:          cfg.WALFS,
 	})
 	if err != nil {
