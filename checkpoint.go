@@ -8,9 +8,10 @@ import (
 	"pgssi/internal/wal"
 )
 
-// Checkpointing: bound the durable log by folding the database state at
-// a safe-snapshot marker into a checkpoint file, then GCing every
-// segment fully covered by it (wal.DurableLog.WriteCheckpoint).
+// Checkpointing: bound the WAL (on disk or in memory) by folding the
+// database state at a safe-snapshot marker into a checkpoint file, then
+// GCing every segment fully covered by it
+// (wal.DurableLog.WriteCheckpoint).
 //
 // The trigger runs inside the safe-snapshot marker path
 // (maybeEmitMarkerLocked, under db.walMu at a quiescent instant), which
@@ -31,16 +32,16 @@ const (
 	ckptBatchBytes = 1 << 20
 )
 
-// Checkpoint writes a checkpoint of the durable WAL at the next
+// Checkpoint writes a checkpoint of the WAL at the next
 // safe-snapshot point and garbage-collects every log segment fully
 // covered by it, blocking until the checkpoint is durable (or has
 // failed). If a checkpoint is already in flight its result is shared;
 // if nothing has committed since the last checkpoint, that checkpoint's
 // info is returned without writing a new one. Returns an error if the
-// DB has no durable WAL or nothing has ever committed.
+// DB has no WAL or nothing has ever committed.
 func (db *DB) Checkpoint() (wal.CheckpointInfo, error) {
 	if db.durable == nil {
-		return wal.CheckpointInfo{}, fmt.Errorf("pgssi: checkpoint requires a durable WAL (OpenDir)")
+		return wal.CheckpointInfo{}, fmt.Errorf("pgssi: checkpoint requires a WAL (OpenDir or AttachWAL)")
 	}
 	if db.closed.Load() {
 		return wal.CheckpointInfo{}, ErrClosed
@@ -244,7 +245,7 @@ func (db *DB) failCheckpointWaiters(err error) {
 	}
 }
 
-// CheckpointInfo reports the durable WAL's newest checkpoint, if any.
+// CheckpointInfo reports the WAL's newest checkpoint, if any.
 func (db *DB) CheckpointInfo() (wal.CheckpointInfo, bool) {
 	if db.durable == nil {
 		return wal.CheckpointInfo{}, false

@@ -371,17 +371,7 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 	}
 	defer rep.Close()
 
-	want := db.CurrentSeq()
-	deadline := time.Now().Add(10 * time.Second)
-	for rep.AppliedSeq() < want {
-		if rep.Err() != nil {
-			t.Fatalf("replica halted instead of re-seeding: %v", rep.Err())
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at seq %d, want %d", rep.AppliedSeq(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitReplicaSeq(t, rep, db.CurrentSeq())
 	if rep.AppliedSeq() < uint64(info.Seq) || rep.SafeSeq() < uint64(info.Seq) {
 		t.Fatalf("reseeded replica positions applied=%d safe=%d, want >= checkpoint seq %d",
 			rep.AppliedSeq(), rep.SafeSeq(), info.Seq)
@@ -391,22 +381,76 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ckptPut(t, db, fmt.Sprintf("live%d", i), "after-reseed")
 	}
-	want = db.CurrentSeq()
-	for rep.AppliedSeq() < want {
+	waitReplicaSeq(t, rep, db.CurrentSeq())
+	checkReplicaMatches(t, db, rep)
+}
+
+// TestInMemoryWALCheckpointsAndGCs: a database opened in memory with an
+// attached wal.NewLog checkpoints on Config.CheckpointEvery and GCs its
+// log segments just as an OpenDir database does, so the log stays
+// bounded; a fresh replica then re-seeds from the in-memory checkpoint.
+func TestInMemoryWALCheckpointsAndGCs(t *testing.T) {
+	db := pgssi.Open(pgssi.Config{CheckpointEvery: 4 << 20})
+	defer db.Close()
+	db.AttachWAL(wal.NewLog())
+	if err := db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	// 40 MiB of commit records spans more than two 16 MiB segments.
+	val := strings.Repeat("x", 1<<20)
+	for i := 0; i < 40; i++ {
+		ckptPut(t, db, fmt.Sprintf("k%d", i%4), fmt.Sprintf("%02d", i)+val)
+	}
+	// The size trigger counts the bytes the background flusher has
+	// written, which can trail the commits: small commits keep offering
+	// quiescent instants until a checkpoint has GC'd a segment.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; db.WALStats().SegmentsGCed == 0; i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("replica did not follow live stream past reseed: at %d, want %d", rep.AppliedSeq(), want)
+			t.Fatalf("in-memory WAL never GC'd a segment: %+v", db.WALStats())
+		}
+		ckptPut(t, db, "tick", fmt.Sprint(i))
+	}
+	if _, _, err := db.DurableWAL().SubscribeFromChecked(0); !errors.Is(err, wal.ErrSeqTruncated) {
+		t.Fatalf("SubscribeFromChecked(0) after GC = %v, want ErrSeqTruncated", err)
+	}
+
+	rep, err := pgssi.NewReplica(db.DurableWAL(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	waitReplicaSeq(t, rep, db.CurrentSeq())
+	checkReplicaMatches(t, db, rep)
+}
+
+// waitReplicaSeq waits until rep has applied the primary's commits
+// through seq, failing if it halts or stalls.
+func waitReplicaSeq(t *testing.T, rep *pgssi.Replica, seq uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.AppliedSeq() < seq {
+		if rep.Err() != nil {
+			t.Fatalf("replica halted: %v", rep.Err())
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at seq %d, want %d", rep.AppliedSeq(), seq)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
 
-	// Row-for-row convergence on a safe snapshot.
+// checkReplicaMatches compares table "t" row for row between the
+// primary and a safe snapshot on rep.
+func checkReplicaMatches(t *testing.T, db *pgssi.DB, rep *pgssi.Replica) {
+	t.Helper()
 	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Rollback()
 	if !tx.OnSafeSnapshot() {
-		t.Fatal("reseeded replica read not on a safe snapshot")
+		t.Fatal("replica read not on a safe snapshot")
 	}
 	ptx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead, ReadOnly: true})
 	if err != nil {
@@ -417,7 +461,7 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 	if err := ptx.Scan("t", "", "", func(k string, v []byte) bool {
 		got, gerr := tx.Get("t", k)
 		if gerr != nil || string(got) != string(v) {
-			t.Fatalf("replica diverged at %q: %q (%v) vs primary %q", k, got, gerr, v)
+			t.Fatalf("replica diverged at %q: %d bytes (%v) vs primary's %d", k, len(got), gerr, len(v))
 		}
 		rows++
 		return true

@@ -46,7 +46,7 @@ func main() {
 		partitions   = flag.Int("partitions", 0, "SIREAD lock table partitions (0 = default)")
 		dataDir      = flag.String("data", "", "data directory for the durable WAL (empty = in-memory, nothing survives restart)")
 		fsyncMode    = flag.String("fsync", "batch", "fsync mode with -data: always, batch, or off")
-		ckptEvery    = flag.Int64("checkpoint-every", 0, "with -data: checkpoint and GC the WAL every this many bytes of log growth (0 = never)")
+		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint and GC the WAL every this many bytes of log growth (0 = never)")
 		replFrom     = flag.String("replicate-from", "", "primary's address: run as a read-only replica of it (schema and data arrive via the stream)")
 	)
 	flag.Parse()
@@ -65,8 +65,7 @@ func main() {
 			log.Fatal("-replicate-from is incompatible with -data and -preload: a replica's state comes from the stream")
 		}
 		// Tables normally arrive as schema records in the stream; -tables
-		// pre-creates them for primaries whose in-memory WAL carries no
-		// schema records.
+		// pre-creates them anyway.
 		var names []string
 		for _, t := range strings.Split(*tables, ",") {
 			if t = strings.TrimSpace(t); t != "" {
@@ -93,10 +92,7 @@ func main() {
 		os.Exit(0)
 	}
 
-	if *ckptEvery > 0 && *dataDir == "" {
-		log.Fatal("-checkpoint-every requires -data: only the durable WAL checkpoints")
-	}
-	cfg := pgssi.Config{Partitions: *partitions}
+	cfg := pgssi.Config{Partitions: *partitions, CheckpointEvery: *ckptEvery}
 	var db *pgssi.DB
 	if *dataDir != "" {
 		mode, err := wal.ParseFsyncMode(*fsyncMode)
@@ -104,7 +100,6 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.FsyncMode = mode
-		cfg.CheckpointEvery = *ckptEvery
 		start := time.Now()
 		db, err = pgssi.OpenDir(*dataDir, cfg)
 		if err != nil {
@@ -118,9 +113,7 @@ func main() {
 	} else {
 		db = pgssi.Open(cfg)
 		// Replication streams the WAL, so an in-memory primary needs one
-		// too — the log retains the full history (and its fan-out buffers)
-		// in memory, which is the same durability trade the rest of the
-		// in-memory mode already makes.
+		// too.
 		db.AttachWAL(wal.NewLog())
 	}
 	names := strings.Split(*tables, ",")

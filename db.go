@@ -211,10 +211,11 @@ type Config struct {
 	// filesystem. Test-only: the fault-injection suites inject a
 	// wal.FaultFS here.
 	WALFS wal.FS
-	// CheckpointEvery, if positive, checkpoints the durable WAL (and
-	// GCs fully-covered segments) roughly every CheckpointEvery bytes of
-	// log growth, at the next safe-snapshot point after the threshold is
-	// crossed. Zero means checkpoints happen only via DB.Checkpoint.
+	// CheckpointEvery, if positive, checkpoints the WAL — on disk or
+	// attached in memory — and GCs fully-covered segments roughly every
+	// CheckpointEvery bytes of log growth, at the next safe-snapshot
+	// point after the threshold is crossed. Zero means checkpoints
+	// happen only via DB.Checkpoint.
 	CheckpointEvery int64
 }
 
@@ -306,7 +307,7 @@ type DB struct {
 	prepMu   sync.Mutex //ssi:lock level=30 name=pgssi.prepared
 	prepared map[string]*Tx
 
-	// walMu orders WAL sink appends with commit publication: a
+	// walMu orders WAL appends with commit publication: a
 	// committer with writes holds it across mvcc.Commit AND the append
 	// (see publishCommit), so records land in the log in commit-sequence
 	// order and safe-snapshot markers are only emitted after every
@@ -314,22 +315,19 @@ type DB struct {
 	// shard locks → wal log locks; nothing takes walMu while holding a
 	// lock later in that chain.
 	walMu sync.Mutex //ssi:lock level=40 name=pgssi.wal
-	// walLog is the attached in-memory log-shipping sink (AttachWAL),
-	// nil when detached. Atomic so the no-sink fast paths (aborts,
-	// no-write commits) can check it without taking walMu; it is only
-	// written under walMu.
-	walLog atomic.Pointer[wal.Log]
 	// markerSeq is the highest commit sequence a safe-snapshot marker
 	// has been emitted at. Only written by maybeEmitMarkerLocked under
 	// walMu (the unlocked loads are pre-checks), which keeps marker
 	// sequences in the log monotone.
 	markerSeq atomic.Uint64
 
-	// durable is the on-disk WAL, non-nil only for OpenDir; walPending
-	// carries each committing transaction's pre-encoded record from
-	// walPrepare (on the committer's goroutine, outside all locks) to
-	// walCommitHook (inside the MVCC commit publication critical
-	// section), keyed by xid. See recovery.go.
+	// durable is the WAL (OpenDir's on-disk log or the one AttachWAL
+	// installed), nil when the DB logs nothing; written once before the
+	// DB accepts traffic. walPending carries each committing
+	// transaction's pre-encoded record from walPrepare (on the
+	// committer's goroutine, outside all locks) to walCommitHook (inside
+	// the MVCC commit publication critical section), keyed by xid. See
+	// recovery.go.
 	durable    *wal.DurableLog
 	walPending sync.Map
 
@@ -372,10 +370,11 @@ func Open(cfg Config) *DB {
 }
 
 // CreateTable creates a table with a primary B+-tree index over its keys.
-// Creating an existing table is an error. With the durable WAL open, the
-// creation is logged and made durable before CreateTable returns, so a
-// restart rebuilds the schema before replaying row changes (secondary
-// indexes are not logged; recreate them after OpenDir).
+// Creating an existing table is an error. With a WAL (OpenDir or
+// AttachWAL), the creation is logged and made durable before
+// CreateTable returns, so a restart or a replica rebuilds the schema
+// before replaying row changes (secondary indexes are not logged;
+// recreate them after OpenDir).
 func (db *DB) CreateTable(name string) error {
 	db.mu.Lock()
 	if _, ok := db.tables[name]; ok {
@@ -469,26 +468,31 @@ func (db *DB) ActiveTransactions() int { return db.mvcc.ActiveCount() }
 // background truncation and, for non-serializable workloads, by Vacuum).
 func (db *DB) CommitLogSize() int { return db.mvcc.LogSize() }
 
-// AttachWAL directs commit records (and safe-snapshot markers) to log,
-// enabling log-shipping replication (§7.2).
-func (db *DB) AttachWAL(log *wal.Log) {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	db.walLog.Store(log)
+// AttachWAL makes log this database's WAL, enabling log-shipping
+// replication (§7.2) for a database opened with Open: commit records,
+// schema records and safe-snapshot markers go to log exactly as they
+// go to an OpenDir database's on-disk log, and Config.CheckpointEvery
+// and Checkpoint bound it the same way. log is normally wal.NewLog(),
+// which keeps nothing across a restart. Call it before the database
+// sees any traffic; it panics if a WAL is already attached (an OpenDir
+// database has its own). Close closes log.
+func (db *DB) AttachWAL(log *wal.DurableLog) {
+	if db.durable != nil {
+		panic("pgssi: AttachWAL on a database that already has a WAL")
+	}
+	db.durable = log
+	db.mvcc.SetOnCommitPublish(db.walCommitHook)
 }
 
-// WALStream returns the stream replicas subscribe to: the durable log
-// when one is open, else an attached in-memory log, else nil (this
-// database emits no WAL and cannot feed a replica). The server's
-// replication endpoint serves exactly this stream.
+// WALStream returns the stream replicas subscribe to: the database's
+// WAL, or nil if it has none (it then cannot feed a replica). The
+// server's replication endpoint serves exactly this stream.
 func (db *DB) WALStream() wal.Stream {
-	if db.durable != nil {
-		return db.durable
+	if db.durable == nil {
+		// A nil *wal.DurableLog must not become a non-nil Stream.
+		return nil
 	}
-	if log := db.walLog.Load(); log != nil {
-		return log
-	}
-	return nil
+	return db.durable
 }
 
 // CurrentSeq returns the newest assigned commit sequence number: the
@@ -574,7 +578,7 @@ func (db *DB) RunTxAttempts(opts TxOptions, fn func(tx *Tx) error) (attempts int
 // Close shuts the database down: new transactions are rejected with
 // ErrClosed, the SSI epoch reclaimer is stopped (after a final
 // synchronous reclamation pass, so a quiesced DB retains no background
-// goroutine), and the WAL attachment is flushed and detached. In-flight
+// goroutine), and the WAL is flushed and closed. In-flight
 // transactions may still commit or roll back, but their deferred
 // cleanup is not reclaimed; drain them first (as cmd/pgssid's graceful
 // shutdown does). Close is idempotent.
@@ -586,15 +590,13 @@ func (db *DB) Close() error {
 	// and prevents new spawns, then runs one final synchronous pass so
 	// everything already reclaimable is dropped.
 	db.ssi.Close()
-	// Flush the WAL sinks: emit a final safe-snapshot marker if the
-	// system is quiescent and one is owed (a replica consuming the log
-	// can then serve serializable reads up to the shutdown point, §7.2)
-	// and detach the in-memory attachment.
+	// Emit a final safe-snapshot marker if the system is quiescent and
+	// one is owed (a replica consuming the log can then serve
+	// serializable reads up to the shutdown point, §7.2).
 	db.walMu.Lock()
 	db.maybeEmitMarkerLocked()
-	db.walLog.Store(nil)
 	db.walMu.Unlock()
-	// Flush and close the durable WAL: the final flush syncs even in
+	// Flush and close the WAL: the final flush syncs even in
 	// FsyncOff mode, so a cleanly closed database is durable regardless
 	// of fsync policy. Commits still in flight past this point fail
 	// their durability wait with wal.ErrClosed. Parked DB.Checkpoint

@@ -40,7 +40,7 @@ func main() {
 	}
 
 	// Wait for the standby to apply everything (5 commits + markers).
-	if err := replica.WaitApplied(walLog.Len()); err != nil {
+	if err := replica.WaitApplied(int(master.WALStats().Appends)); err != nil {
 		log.Fatal(err)
 	}
 	applied, err := replica.AppliedRecords()

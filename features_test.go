@@ -373,7 +373,7 @@ func TestReplicaSerializableReadsOnlyOnSafeSnapshots(t *testing.T) {
 		})
 		mustExec(t, err)
 	}
-	rep.WaitApplied(walLog.Len())
+	rep.WaitApplied(int(db.WALStats().Appends))
 
 	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
 	mustExec(t, err)
@@ -394,7 +394,7 @@ func TestWALEmitsSafeSnapshotMarkers(t *testing.T) {
 		return tx.Insert("kv", "a", []byte("1"))
 	})
 	mustExec(t, err)
-	recs := walLog.Records()
+	recs := walRecords(t, walLog)
 	if len(recs) != 2 {
 		t.Fatalf("expected commit + marker, got %d records", len(recs))
 	}

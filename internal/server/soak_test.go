@@ -102,8 +102,7 @@ func TestReplicationSoak(t *testing.T) {
 	if err := db.CreateTable("acct"); err != nil {
 		t.Fatal(err)
 	}
-	walLog := wal.NewLog()
-	db.AttachWAL(walLog)
+	db.AttachWAL(wal.NewLog())
 
 	err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
 		for i := 0; i < pairs; i++ {
@@ -282,7 +281,7 @@ func TestReplicationSoak(t *testing.T) {
 		}
 	}
 	t.Logf("soak: %d records at seq %d, reads %d/%d, primary rows %d",
-		walLog.Len(), want, reads[0].Load(), reads[1].Load(), len(wantRows))
+		db.WALStats().Appends, want, reads[0].Load(), reads[1].Load(), len(wantRows))
 }
 
 // TestReplicationReseedAfterGC is the truncation edge of the soak: a

@@ -183,14 +183,10 @@ func scanCheckpoint(fs FS, path string, seq uint64) (nrecs int, complete bool) {
 }
 
 // readCheckpointRecords streams a validated checkpoint's data records
-// (not the footer) through fn. Unlike scanCheckpoint this treats damage
-// as an error: callers only read checkpoints recovery has validated.
-func readCheckpointRecords(fs FS, path string, seq uint64, fn func(Record) error) (int, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
+// (not the footer) through fn, reading the open file f at path. Unlike
+// scanCheckpoint this treats damage as an error: callers only read
+// checkpoints recovery has validated.
+func readCheckpointRecords(f File, path string, seq uint64, fn func(Record) error) (int, error) {
 	if err := readCkptHeader(f, seq); err != nil {
 		return 0, err
 	}
@@ -386,13 +382,22 @@ func (l *DurableLog) CheckpointInfo() (CheckpointInfo, bool) {
 // checkpoint's data records through fn. ErrNoCheckpoint if the log has
 // never checkpointed.
 func (l *DurableLog) ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, error) {
+	// Open under mu: WriteCheckpoint removes a superseded checkpoint only
+	// after it has published its successor under mu, so the file opened
+	// here is the newest one and stays readable through the open handle.
 	l.mu.Lock()
 	path, seq := l.ckptPath, l.ckptSeq
-	l.mu.Unlock()
 	if path == "" {
+		l.mu.Unlock()
 		return CheckpointInfo{}, ErrNoCheckpoint
 	}
-	n, err := readCheckpointRecords(l.fs, path, seq, fn)
+	f, err := l.fs.Open(path)
+	l.mu.Unlock()
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	defer f.Close()
+	n, err := readCheckpointRecords(f, path, seq, fn)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}

@@ -352,3 +352,52 @@ func TestCheckpointOnPoisonedLogRefused(t *testing.T) {
 		t.Fatalf("poisoned checkpoint attempt touched the log: %+v", st)
 	}
 }
+
+// openHookFS runs onOpen before each Open.
+type openHookFS struct {
+	FS
+	onOpen func(name string)
+}
+
+func (h *openHookFS) Open(name string) (File, error) {
+	if h.onOpen != nil {
+		h.onOpen(name)
+	}
+	return h.FS.Open(name)
+}
+
+// TestReplayCheckpointSurvivesSupersede: a new checkpoint removes the
+// one it supersedes. ReplayCheckpoint opens the checkpoint it chose
+// while still holding the log mutex, so a superseding checkpoint cannot
+// remove the file between the choice and the open. The hook supersedes
+// the checkpoint exactly there whenever the mutex is free at the open.
+func TestReplayCheckpointSurvivesSupersede(t *testing.T) {
+	fs := &openHookFS{FS: newMemFS()}
+	l, err := OpenDir("/wal", Config{Fsync: FsyncOff, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mustAppend(t, l, commitRec(1, "k1", "v"))
+	if _, err := l.WriteCheckpoint(1, ckptFill(1)); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, commitRec(2, "k2", "v"))
+	fs.onOpen = func(name string) {
+		if !strings.HasSuffix(name, ".ckpt") || !l.mu.TryLock() {
+			return
+		}
+		l.mu.Unlock()
+		fs.onOpen = nil
+		if _, err := l.WriteCheckpoint(2, ckptFill(2)); err != nil {
+			t.Error(err)
+		}
+	}
+	info, err := l.ReplayCheckpoint(func(Record) error { return nil })
+	if err != nil {
+		t.Fatalf("ReplayCheckpoint: %v", err)
+	}
+	if info.Seq != 1 {
+		t.Fatalf("replayed checkpoint seq %d, want 1", info.Seq)
+	}
+}

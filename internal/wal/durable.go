@@ -374,6 +374,21 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 	return l, nil
 }
 
+// NewLog returns a log held in process memory: a DurableLog opened in
+// FsyncOff mode on a fresh in-memory filesystem. It has what an on-disk
+// log has (schema records, checkpoints and segment GC, subscriptions,
+// Stats), except that nothing survives the process. An in-memory
+// database attaches one (pgssi's AttachWAL) to feed replicas.
+func NewLog() *DurableLog {
+	l, err := OpenDir("/wal", Config{Fsync: FsyncOff, FS: newMemFS()})
+	if err != nil {
+		// Opening an empty in-memory directory performs no operation
+		// that can fail.
+		panic(fmt.Sprintf("wal: opening an in-memory log: %v", err))
+	}
+	return l
+}
+
 // RecoveredRecords reports how many records survived recovery at OpenDir.
 func (l *DurableLog) RecoveredRecords() int { return l.recovered }
 
@@ -608,9 +623,12 @@ func (l *DurableLog) Append(rec Record) *Ticket {
 	return p.ticket
 }
 
-// fanoutLocked mirrors Log.fanoutLocked: non-blocking sends with
-// overflow-disconnect, so the committer holding the publication critical
-// section is never stalled by a subscriber.
+// fanoutLocked delivers r to every live subscriber with a non-blocking
+// send. A subscriber whose buffer is full (it stopped draining, or died
+// without cancelling) is disconnected: its channel is closed and it
+// receives no further records. The committer holding the publication
+// critical section is thus never stalled by a subscriber; the replica
+// tier treats a closed stream as "re-subscribe and catch up".
 func (l *DurableLog) fanoutLocked(r Record) {
 	live := l.subs[:0]
 	for _, ch := range l.subs {
@@ -820,7 +838,7 @@ func (l *DurableLog) createSegment(index uint64) (File, error) {
 // Subscribe returns a channel that replays every record in the log (from
 // disk, plus any not yet flushed) and then streams new ones. Cancel
 // detaches and closes the channel; a subscriber that falls more than the
-// fan-out buffer behind is disconnected (see Log.Append — same policy).
+// fan-out buffer behind is disconnected (see fanoutLocked).
 func (l *DurableLog) Subscribe() (<-chan Record, func()) {
 	return l.SubscribeFrom(0)
 }

@@ -1,9 +1,11 @@
-// Filesystem abstraction for the durable WAL, so the fault-injection
-// tests can interpose on writes and fsyncs without touching the segment
-// logic. Production always uses the OS filesystem (Config.FS == nil).
+// Filesystem abstraction for the WAL, so the fault-injection tests can
+// interpose on writes and fsyncs without touching the segment logic. An
+// on-disk log uses the OS filesystem (Config.FS == nil); NewLog runs the
+// same segment logic on memFS.
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -85,6 +87,100 @@ func (osFS) SyncDir(dir string) error {
 	}
 	return err
 }
+
+// memFS is an FS held in process memory: the filesystem NewLog's log
+// runs on. Nothing lies beneath it, so syncs are no-ops and nothing
+// survives the process. A fresh memFS directory is never recovered, so
+// Truncate and OpenAppend, which only OpenDir's recovery of existing
+// segments calls, are unsupported. Directories are implicit: a file
+// lives in filepath.Dir of its path.
+type memFS struct {
+	mu    sync.Mutex //ssi:lock level=30 name=wal.memfs
+	files map[string]*memData
+}
+
+// memData is one file's contents, guarded by memFS.mu. A removed file's
+// data stays readable through handles already open on it, as an
+// unlinked file's does on a POSIX filesystem.
+type memData struct{ b []byte }
+
+func newMemFS() *memFS { return &memFS{files: make(map[string]*memData)} }
+
+func (*memFS) MkdirAll(string) error { return nil }
+
+func (m *memFS) ReadDir(dir string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var names []string
+	for name := range m.files {
+		if filepath.Dir(name) == dir {
+			names = append(names, filepath.Base(name))
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+func (m *memFS) Create(name string) (File, error) {
+	d := &memData{}
+	m.mu.Lock()
+	m.files[name] = d
+	m.mu.Unlock()
+	return &memFile{fs: m, d: d}, nil
+}
+
+func (m *memFS) Open(name string) (File, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d, ok := m.files[name]
+	if !ok {
+		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
+	}
+	return &memFile{fs: m, d: d}, nil
+}
+
+func (*memFS) OpenAppend(string) (File, error) { return nil, errors.ErrUnsupported }
+func (*memFS) Truncate(string, int64) error    { return errors.ErrUnsupported }
+func (*memFS) SyncDir(string) error            { return nil }
+
+func (m *memFS) Remove(name string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[name]; !ok {
+		return &os.PathError{Op: "remove", Path: name, Err: os.ErrNotExist}
+	}
+	delete(m.files, name)
+	return nil
+}
+
+// memFile is a handle on one memData: writes append, reads advance the
+// handle's own offset.
+type memFile struct {
+	fs  *memFS
+	d   *memData
+	off int
+}
+
+func (f *memFile) Read(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.off >= len(f.d.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.d.b[f.off:])
+	f.off += n
+	return n, nil
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.d.b = append(f.d.b, p...)
+	f.fs.mu.Unlock()
+	return len(p), nil
+}
+
+func (*memFile) Sync() error  { return nil }
+func (*memFile) Close() error { return nil }
 
 // FaultFS is a test-only FS over the real filesystem that models the
 // failure a write-ahead log exists to survive: data that was written but

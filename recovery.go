@@ -8,8 +8,10 @@ import (
 	"pgssi/internal/wal"
 )
 
-// Durable WAL wiring: OpenDir recovery on the way in, and the commit
-// path's append-before-acknowledge on the way out.
+// WAL wiring: OpenDir recovery on the way in, and the commit path's
+// append-before-acknowledge on the way out. A log attached with
+// AttachWAL runs the same commit path; in its FsyncOff mode walFinish
+// waits for nothing.
 //
 // The commit path is split in three so the WAL append order is
 // consistent with commit dependencies:
@@ -55,14 +57,16 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// Load the checkpoint, then replay the suffix, both before installing
 	// the log on the DB: replayed transactions run down the ordinary
 	// commit path, and with db.durable still nil they do not re-log
-	// themselves.
-	ckptRecords, err := db.loadCheckpoint(wl)
-	if err != nil {
+	// themselves. Each commit record is applied as one
+	// snapshot-isolation transaction, so a replayed prefix is exactly
+	// the state those transactions produced.
+	info, err := wl.ReplayCheckpoint(db.applyRecord)
+	if err != nil && !errors.Is(err, wal.ErrNoCheckpoint) {
 		wl.Close()
 		db.Close()
 		return nil, fmt.Errorf("pgssi: checkpoint load: %w", err)
 	}
-	if err := db.replayWAL(wl); err != nil {
+	if err := wl.Replay(db.applyRecord); err != nil {
 		wl.Close()
 		db.Close()
 		return nil, fmt.Errorf("pgssi: WAL replay: %w", err)
@@ -74,44 +78,29 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// high-water mark; a new commit would then reuse a logged CSN.
 	db.mvcc.AdvanceSeq(mvcc.SeqNo(wl.RecoveredMaxSeq()))
 	db.markerSeq.Store(wl.RecoveredMarkerSeq())
-	db.recoveredRecords = ckptRecords + wl.RecoveredRecords()
+	db.recoveredRecords = info.Records + wl.RecoveredRecords()
 	// Seed the checkpoint trigger's watermarks so a reopened database
 	// does not immediately re-checkpoint state the recovered checkpoint
-	// already covers.
-	if info, ok := wl.CheckpointInfo(); ok {
-		db.ckptLastSeq = uint64(info.Seq)
-	}
+	// already covers (info is zero without a checkpoint).
+	db.ckptLastSeq = uint64(info.Seq)
 	db.ckptLastBytes = wl.Stats().BytesWritten
-	db.durable = wl
-	db.mvcc.SetOnCommitPublish(db.walCommitHook)
+	db.AttachWAL(wl)
 	return db, nil
 }
 
-// loadCheckpoint folds the newest complete checkpoint's records into the
-// (empty) database, returning how many records it applied (0 if no
-// checkpoint exists).
-func (db *DB) loadCheckpoint(wl *wal.DurableLog) (int, error) {
-	info, err := wl.ReplayCheckpoint(db.applyRecoveredRecord)
-	if errors.Is(err, wal.ErrNoCheckpoint) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return info.Records, nil
-}
-
-// replayWAL applies every recovered post-checkpoint record to the
-// database. Each commit record is applied as one snapshot-isolation
-// transaction, so a replayed prefix is exactly the state those
-// transactions produced.
-func (db *DB) replayWAL(wl *wal.DurableLog) error {
-	return wl.Replay(db.applyRecoveredRecord)
-}
-
-// applyRecoveredRecord folds one recovered record (from a checkpoint or
-// the log suffix) into storage through the ordinary commit path.
-func (db *DB) applyRecoveredRecord(rec wal.Record) error {
+// applyRecord folds one logged record into db through the ordinary
+// commit path: a commit record as one snapshot-isolation transaction, a
+// schema record as CreateTable (a no-op if the table exists), a marker
+// as nothing. Recovery, checkpoint load, replica apply and replica
+// re-seed all use it. A commit record without ops is malformed (the
+// engine logs no write-free commit) and fails.
+//
+// An op on a missing table creates the table first. CreateTable
+// releases db.mu before it appends its schema record, so a commit on a
+// new table can reach the log ahead of that record; a log written
+// before schema logging, or one whose schema record was cut off with
+// its tail, has none at all.
+func (db *DB) applyRecord(rec wal.Record) error {
 	switch {
 	case rec.SafeSnapshot:
 		return nil
@@ -120,42 +109,44 @@ func (db *DB) applyRecoveredRecord(rec wal.Record) error {
 			return nil
 		}
 		return db.CreateTable(rec.CreateTable)
-	default:
-		tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
-		if err != nil {
-			return err
-		}
-		for _, op := range rec.Ops {
-			if _, terr := db.table(op.Table); terr != nil {
-				// A pre-schema-logging log, or a table whose
-				// create-table record was cut off with its tail:
-				// recreate it so the row data is not lost.
-				if cerr := db.CreateTable(op.Table); cerr != nil {
-					tx.Rollback()
-					return cerr
-				}
-			}
-			if op.Delete {
-				if derr := tx.Delete(op.Table, op.Key); derr != nil && !errors.Is(derr, ErrNotFound) {
-					tx.Rollback()
-					return derr
-				}
-			} else if perr := tx.Put(op.Table, op.Key, op.Value); perr != nil {
-				tx.Rollback()
-				return perr
-			}
-		}
-		return tx.Commit()
+	case len(rec.Ops) == 0:
+		return fmt.Errorf("pgssi: commit record seq %d has no ops", rec.Seq)
 	}
+	tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
+	if err != nil {
+		return err
+	}
+	for _, op := range rec.Ops {
+		if _, terr := db.table(op.Table); terr != nil {
+			if cerr := db.CreateTable(op.Table); cerr != nil {
+				tx.Rollback()
+				return cerr
+			}
+		}
+		if op.Delete {
+			// A commit record carries each key's final version: a key
+			// both inserted and deleted in one transaction logs a
+			// delete for a row never applied, so ErrNotFound is the
+			// one tolerable outcome.
+			if derr := tx.Delete(op.Table, op.Key); derr != nil && !errors.Is(derr, ErrNotFound) {
+				tx.Rollback()
+				return derr
+			}
+		} else if perr := tx.Put(op.Table, op.Key, op.Value); perr != nil {
+			tx.Rollback()
+			return perr
+		}
+	}
+	return tx.Commit()
 }
 
 // walPrepare encodes tx's commit record ahead of the commit-sequence
 // assignment and parks it for walCommitHook. Returns (nil, nil) —
-// nothing will be logged — when the WAL is not durable or the
-// transaction wrote nothing. A record the log cannot accept (its frame
-// would exceed wal.MaxRecordSize, which recovery could never read back)
-// fails here, BEFORE the commit is published: the transaction must
-// abort rather than commit in memory only.
+// nothing will be logged — when the DB has no WAL or the transaction
+// wrote nothing. A record the log cannot accept (its frame would exceed
+// wal.MaxRecordSize, which recovery could never read back) fails here,
+// BEFORE the commit is published: the transaction must abort rather
+// than commit in memory only.
 func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
 	if db.durable == nil || len(tx.writes) == 0 {
 		return nil, nil
@@ -234,14 +225,15 @@ func (db *DB) walFinish(pend *wal.Pending) error {
 
 // WALRecoveredRecords reports how many records OpenDir recovered:
 // checkpoint records plus the replayed post-checkpoint log suffix (0 for
-// a fresh directory or a non-durable DB).
+// a fresh directory or a DB opened with Open).
 func (db *DB) WALRecoveredRecords() int {
 	return db.recoveredRecords
 }
 
-// WALStats returns the durable WAL's counters (zero value for a
-// non-durable DB). Stats.Appends/Stats.Fsyncs is the group-commit
-// amortization ratio.
+// WALStats returns the WAL's counters, whether the log is on disk
+// (OpenDir) or in memory (AttachWAL); the zero value for a DB without
+// one. Stats.Appends counts every record the log accepted;
+// Stats.Appends/Stats.Fsyncs is the group-commit amortization ratio.
 func (db *DB) WALStats() wal.Stats {
 	if db.durable == nil {
 		return wal.Stats{}
@@ -249,7 +241,7 @@ func (db *DB) WALStats() wal.Stats {
 	return db.durable.Stats()
 }
 
-// DurableWAL returns the on-disk WAL, or nil if the DB was not opened
-// with one. Replicas subscribe to it directly (it implements
-// wal.Stream).
+// DurableWAL returns the DB's WAL: the on-disk log of OpenDir, the log
+// installed by AttachWAL, or nil if the DB has none. Replicas subscribe
+// to it directly (it implements wal.Stream).
 func (db *DB) DurableWAL() *wal.DurableLog { return db.durable }

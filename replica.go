@@ -18,8 +18,8 @@ import (
 // Weaker-isolation (snapshot) reads are allowed at any applied position,
 // matching "they can simply run at a weaker isolation level".
 //
-// The record source may be in process (the in-memory wal.Log, a
-// DB.DurableWAL) or remote (internal/wire's ReplicaSource, streaming
+// The record source may be in process (a DB.DurableWAL, on disk or in
+// memory) or remote (internal/wire's ReplicaSource, streaming
 // from a pgssid master over TCP). When the source's channel closes —
 // the subscriber fell behind the fan-out buffer, the master restarted,
 // or the network dropped — the replica re-subscribes from its applied
@@ -72,14 +72,15 @@ type ReplicaTxOptions struct {
 }
 
 // NewReplica creates a standby that replays log and mirrors the schema of
-// the given tables. The log may be the in-memory wal.Log, a durable
-// wal.DurableLog (DB.DurableWAL), or a network source (wire's
-// ReplicaSource); tables recorded in the stream are created
-// automatically. A fresh replica on an uncheckpointed stream catches up
-// from the beginning of the log; when the source's history has been
-// truncated by checkpoint GC (wal.ErrSeqTruncated) the replica seeds
-// itself from the source's newest checkpoint instead
-// (wal.CheckpointSource) and resumes from the checkpoint sequence.
+// the given tables. The log may be a wal.DurableLog (DB.DurableWAL, on
+// disk or from wal.NewLog) or a network source (wire's ReplicaSource);
+// tables recorded in the stream, or written by a commit record ahead of
+// their schema record, are created automatically. A fresh replica on
+// an uncheckpointed stream catches up from the beginning of the log;
+// when the source's history has been truncated by checkpoint GC
+// (wal.ErrSeqTruncated) the replica seeds itself from the source's
+// newest checkpoint instead (wal.CheckpointSource) and resumes from the
+// checkpoint sequence.
 func NewReplica(log wal.Stream, tables []string) (*Replica, error) {
 	db := Open(Config{})
 	for _, t := range tables {
@@ -187,8 +188,8 @@ func (r *Replica) run() {
 // subscribe resumes the stream from after, preferring the
 // truncation-aware variant: a source that implements wal.CheckedStream
 // reports wal.ErrSeqTruncated when `after` fell below its GC floor,
-// which run turns into a checkpoint re-seed. Plain sources (the
-// in-memory wal.Log) cannot truncate and never fail.
+// which run turns into a checkpoint re-seed. Plain sources cannot
+// truncate and never fail.
 func (r *Replica) subscribe(after mvcc.SeqNo) (<-chan wal.Record, func(), error) {
 	if cs, ok := r.src.(wal.CheckedStream); ok {
 		return cs.SubscribeFromChecked(after)
@@ -217,11 +218,8 @@ func (r *Replica) reseed() error {
 	}
 	applied := 0
 	info, err := cs.ReplayCheckpoint(func(rec wal.Record) error {
-		if rec.SafeSnapshot {
-			return nil
-		}
 		applied++
-		return applyStreamRecord(db, rec)
+		return db.applyRecord(rec)
 	})
 	if err != nil {
 		db.Close()
@@ -276,13 +274,13 @@ func (r *Replica) applyLoop(ch <-chan wal.Record, resume bool) bool {
 			r.mu.Unlock()
 			continue
 		}
-		if !rec.SafeSnapshot {
-			if err := r.applyRecord(rec); err != nil {
-				r.err = fmt.Errorf("%w: record seq %d: %v", ErrReplicaHalted, rec.Seq, err)
-				r.cond.Broadcast()
-				r.mu.Unlock()
-				return false
-			}
+		// r.mu also serializes the apply against snapshot-taking
+		// readers. A failed apply means the replica has diverged.
+		if err := r.db.applyRecord(rec); err != nil {
+			r.err = fmt.Errorf("%w: record seq %d: %v", ErrReplicaHalted, rec.Seq, err)
+			r.cond.Broadcast()
+			r.mu.Unlock()
+			return false
 		}
 		r.applied++
 		switch {
@@ -337,49 +335,6 @@ func (r *Replica) duplicateLocked(rec wal.Record) bool {
 		return err == nil
 	}
 	return false
-}
-
-// applyRecord applies one transaction's ops (or one schema record),
-// reporting any failure — a failed apply means the replica has diverged
-// and must halt rather than keep serving. Caller holds r.mu, which also
-// serializes appliers against snapshot-taking readers.
-func (r *Replica) applyRecord(rec wal.Record) error {
-	return applyStreamRecord(r.db, rec)
-}
-
-// applyStreamRecord applies one stream record to db (the replica's live
-// engine, or the fresh engine a re-seed is loading).
-func applyStreamRecord(db *DB, rec wal.Record) error {
-	if rec.CreateTable != "" {
-		if _, err := db.table(rec.CreateTable); err == nil {
-			return nil // pre-created via NewReplica's tables argument
-		}
-		return db.CreateTable(rec.CreateTable)
-	}
-	tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
-	if err != nil {
-		return err
-	}
-	for _, op := range rec.Ops {
-		switch {
-		case op.Delete:
-			// A commit record carries each key's final version: a key
-			// both inserted and deleted in one transaction logs a delete
-			// for a row the replica never saw, so ErrNotFound is the one
-			// tolerable outcome (recovery replay tolerates it the same
-			// way).
-			if err := tx.Delete(op.Table, op.Key); err != nil && !errors.Is(err, ErrNotFound) {
-				tx.Rollback()
-				return err
-			}
-		default:
-			if err := tx.Put(op.Table, op.Key, op.Value); err != nil {
-				tx.Rollback()
-				return err
-			}
-		}
-	}
-	return tx.Commit()
 }
 
 // BeginReadOnly starts a read-only transaction on the replica. With

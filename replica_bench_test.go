@@ -60,7 +60,7 @@ func benchFleetRead(b *testing.B, replicas int) {
 			b.Fatal(err)
 		}
 		defer rep.Close()
-		if err := rep.WaitApplied(walLog.Len()); err != nil {
+		if err := rep.WaitApplied(int(db.WALStats().Appends)); err != nil {
 			b.Fatal(err)
 		}
 		members = append(members, router.Member{

@@ -21,8 +21,8 @@ func TestReplicaHaltsOnApplyError(t *testing.T) {
 	mustExec(t, err)
 	defer rep.Close()
 
-	// A commit against a table the replica does not have fails to apply.
-	log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "missing", Key: "k", Value: []byte("v")}}})
+	// A commit record without ops is malformed: it fails to apply.
+	log.Append(wal.Record{Seq: 1, Xid: 1})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for rep.Err() == nil {
@@ -53,6 +53,31 @@ func TestReplicaHaltsOnApplyError(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if n, _ := rep.AppliedRecords(); n != 0 {
 		t.Fatalf("halted replica kept applying (%d records)", n)
+	}
+}
+
+// TestReplicaAppliesCommitAheadOfSchemaRecord: CreateTable releases the
+// table map's lock before it logs its schema record, so a commit on the
+// new table can reach the log first. A replica must apply that order —
+// the commit creates the table, the schema record is then a no-op —
+// rather than halt on a missing table.
+func TestReplicaAppliesCommitAheadOfSchemaRecord(t *testing.T) {
+	log := wal.NewLog()
+	rep, err := pgssi.NewReplica(log, nil)
+	mustExec(t, err)
+	defer rep.Close()
+
+	log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "x", Key: "k", Value: []byte("v")}}})
+	log.Append(wal.Record{Seq: 1, CreateTable: "x"})
+	log.Append(wal.Record{Seq: 1, SafeSnapshot: true})
+	mustExec(t, rep.WaitApplied(3))
+	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true})
+	mustExec(t, err)
+	defer tx.Rollback()
+	v, err := tx.Get("x", "k")
+	mustExec(t, err)
+	if string(v) != "v" {
+		t.Fatalf("x/k = %q, want %q", v, "v")
 	}
 }
 
@@ -106,7 +131,7 @@ func TestReplicaSeqPositions(t *testing.T) {
 			return tx.Insert("kv", fmt.Sprintf("k%d", i), []byte("v"))
 		}))
 	}
-	mustExec(t, rep.WaitApplied(walLog.Len()))
+	mustExec(t, rep.WaitApplied(int(db.WALStats().Appends)))
 	if rep.AppliedSeq() != 3 || rep.SafeSeq() != 3 {
 		t.Fatalf("replica at %d/%d after 3 commits, want 3/3", rep.AppliedSeq(), rep.SafeSeq())
 	}

@@ -263,30 +263,29 @@ func (tx *Tx) rollbackLocked() {
 }
 
 // publishCommit makes tx's commit visible (mvcc.Commit) and appends its
-// record to any attached WAL sink in commit-sequence order.
+// record to the WAL, if the DB has one, in commit-sequence order.
 //
 // For a transaction with writes, the sequence assignment and the append
-// happen inside one db.walMu critical section: walMu is taken BEFORE
-// mvcc.Commit, so two committers cannot publish in one order and append
-// in the other, and an observer holding walMu that sees ActiveCount()==0
-// knows every assigned sequence's commit record is already in the log
-// (every logging committer appends before releasing walMu; no-write
-// commits append nothing). That invariant is what makes the safe-snapshot
-// markers emitted by maybeEmitMarkerLocked sound, and it keeps the
-// in-memory log consistent with Stream.SubscribeFrom's resume contract
-// (a replica resuming after sequence S must never find a commit ≤ S
-// appended later). The durable path's walCommitHook reserves its log
-// position inside the MVCC publication critical section, which walMu now
-// also covers, so the durable log is append-ordered across shards too.
+// happen inside one db.walMu critical section: walCommitHook reserves
+// the record's log position inside the MVCC publication critical
+// section, and walMu is taken BEFORE mvcc.Commit, so two committers on
+// different commit-log shards cannot publish in one order and append in
+// the other. An observer holding walMu that sees ActiveCount()==0 knows
+// every assigned sequence's commit record is already in the log (every
+// logging committer appends before releasing walMu; no-write commits
+// append nothing). That invariant is what makes the safe-snapshot
+// markers emitted by maybeEmitMarkerLocked sound, and it keeps the log
+// consistent with Stream.SubscribeFrom's resume contract (a replica
+// resuming after sequence S must never find a commit ≤ S appended
+// later).
 //
 // No-write commits skip walMu around mvcc.Commit entirely — they have
 // nothing to append — and only take it afterwards if they may have made
 // the system quiescent and owe the stream a marker.
 func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
-	sink := db.durable != nil || db.walLog.Load() != nil
-	if !sink || len(tx.writes) == 0 {
+	if db.durable == nil || len(tx.writes) == 0 {
 		seq := db.mvcc.Commit(tx.xid)
-		if sink && db.mvcc.ActiveCount() == 0 {
+		if db.durable != nil && db.mvcc.ActiveCount() == 0 {
 			db.walMu.Lock()
 			db.maybeEmitMarkerLocked()
 			db.walMu.Unlock()
@@ -296,23 +295,18 @@ func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
 	seq := db.mvcc.Commit(tx.xid)
-	if log := db.walLog.Load(); log != nil {
-		rec := db.buildWALRecord(tx)
-		rec.Seq = seq
-		log.Append(rec)
-	}
 	db.maybeEmitMarkerLocked()
 	return seq
 }
 
 // maybeEmitMarkerLocked appends a safe-snapshot marker at the current
-// commit sequence to every attached WAL sink if the system is quiescent
-// and no marker at or past that sequence was already emitted. Caller
-// holds db.walMu, which makes the markerSeq check-and-advance atomic
-// with the append: marker sequences in the log never decrease, and a
-// marker is always appended after every commit record it covers (see
-// publishCommit's ordering invariant). markerSeq is only written here,
-// under walMu, so a plain store suffices.
+// commit sequence to the WAL if the system is quiescent and no marker
+// at or past that sequence was already emitted. Caller holds db.walMu,
+// which makes the markerSeq check-and-advance atomic with the append:
+// marker sequences in the log never decrease, and a marker is always
+// appended after every commit record it covers (see publishCommit's
+// ordering invariant). markerSeq is only written here, under walMu, so
+// a plain store suffices.
 //
 // The marker is valid even if no-write commits advanced the sequence
 // past the last logged record: a transaction beginning after this
@@ -328,9 +322,6 @@ func (db *DB) maybeEmitMarkerLocked() {
 	}
 	if uint64(seq) > db.markerSeq.Load() {
 		db.markerSeq.Store(uint64(seq))
-		if log := db.walLog.Load(); log != nil {
-			log.Append(wal.Record{Seq: seq, SafeSnapshot: true})
-		}
 		if db.durable != nil {
 			db.durable.Append(wal.Record{Seq: seq, SafeSnapshot: true})
 		}
@@ -351,7 +342,7 @@ func (db *DB) maybeEmitMarkerLocked() {
 // authoritative check-and-append runs under walMu so a stale marker can
 // never be appended after a newer commit or marker.
 func (db *DB) emitAbortSafePoint() {
-	if db.durable == nil && db.walLog.Load() == nil {
+	if db.durable == nil {
 		return
 	}
 	if db.mvcc.ActiveCount() != 0 {

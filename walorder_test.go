@@ -5,10 +5,34 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pgssi"
 	"pgssi/internal/wal"
 )
+
+// walRecords drains a fresh subscription to l: every record l has
+// accepted, in log order.
+func walRecords(t *testing.T, l *wal.DurableLog) []wal.Record {
+	t.Helper()
+	n := int(l.Stats().Appends)
+	ch, cancel := l.Subscribe()
+	defer cancel()
+	recs := make([]wal.Record, 0, n)
+	timeout := time.After(10 * time.Second)
+	for len(recs) < n {
+		select {
+		case r, ok := <-ch:
+			if !ok {
+				t.Fatalf("stream closed after %d of %d records", len(recs), n)
+			}
+			recs = append(recs, r)
+		case <-timeout:
+			t.Fatalf("timed out after %d of %d records", len(recs), n)
+		}
+	}
+	return recs
+}
 
 // TestWALCommitRecordOrdering hammers concurrent committers and aborters
 // and then audits the in-memory log against the ordering invariants the
@@ -59,7 +83,7 @@ func TestWALCommitRecordOrdering(t *testing.T) {
 	wg.Wait()
 
 	var lastCommit, lastMarker uint64
-	for i, rec := range walLog.Records() {
+	for i, rec := range walRecords(t, walLog) {
 		seq := uint64(rec.Seq)
 		if rec.SafeSnapshot {
 			if seq < lastCommit {
