@@ -54,6 +54,15 @@
 // Vacuum drops them with DropAbortedBelow once the heap holds no trace of
 // them. Callers that take standalone snapshots must pin them with an
 // active transaction for the duration of use, as DB.Vacuum does.
+//
+// The heap (internal/storage) caches committed fates on its tuple
+// versions as hints, so reads of settled rows skip the log. A hint holds
+// the real commit CSN that Status reported, never a bare "committed"
+// flag, and is only ever set for committed xids. That keeps hints in
+// agreement with truncation: an entry is dropped only once its CSN is at
+// or below every present and future snapshot's, so the hinted CSN and the
+// truncated log's "committed long ago" give every snapshot the same
+// answer, while aborted xids keep resolving through their tombstones.
 package mvcc
 
 import (

@@ -18,7 +18,7 @@ import (
 // concurrent updates.
 
 // batchKeys seeds n committed rows and returns their keys in order.
-func batchKeys(t *testing.T, h *harness, n int) []string {
+func batchKeys(t testing.TB, h *harness, n int) []string {
 	t.Helper()
 	seed := h.begin()
 	keys := make([]string, n)

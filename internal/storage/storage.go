@@ -62,9 +62,22 @@ var (
 const TuplesPerPage = 64
 
 // Tuple is one version of a row. Fields mirror the PostgreSQL tuple
-// header bits that matter for visibility and SSI.
+// header bits that matter for visibility and SSI. The row's key is not
+// stored: it is the shard map key of the version chain.
+//
+// xminHint and xmaxHint play the part of PostgreSQL's HEAP_XMIN_COMMITTED
+// and HEAP_XMAX_COMMITTED hint bits: once the commit log has reported
+// Xmin (Xmax) committed, the hint caches its commit CSN plus one, so later
+// reads of the version resolve it without a commit-log lookup. Zero means
+// unknown. The CSN, not a bare flag, is cached because visibility still
+// depends on it: a version that committed after a snapshot stays
+// invisible to that snapshot however often later readers hint it. Only
+// committed fates are cached, since only they are final and safe to keep
+// across commit-log truncation; aborted and in-progress xids always go to
+// the log. The hints are read and written under the owning shard's mutex,
+// which also guards Xmax; every write of Xmax goes through setXmax, which
+// clears xmaxHint.
 type Tuple struct {
-	Key   string
 	Value []byte
 	// Xmin is the transaction that created this version.
 	Xmin mvcc.TxID
@@ -79,6 +92,44 @@ type Tuple struct {
 	Page int64
 	// Older points to the previous version of the row, or nil.
 	Older *Tuple
+
+	xminHint, xmaxHint mvcc.SeqNo
+}
+
+// setXmax stamps (or, with xid zero, clears) the version's deleter and
+// drops the cached fate of the previous one. Caller holds the shard mutex.
+func (v *Tuple) setXmax(xid mvcc.TxID, subID int32) {
+	v.Xmax = xid
+	v.SubMax = subID
+	v.xmaxHint = 0
+}
+
+// xminStatus resolves the fate of v.Xmin, from its hint when one is set.
+// Caller holds the shard mutex.
+func xminStatus(v *Tuple, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	return hintedStatus(v.Xmin, &v.xminHint, mgr)
+}
+
+// xmaxStatus resolves the fate of v.Xmax, from its hint when one is set.
+// Caller holds the shard mutex.
+func xmaxStatus(v *Tuple, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	return hintedStatus(v.Xmax, &v.xmaxHint, mgr)
+}
+
+// hintedStatus answers from *hint when it is set and otherwise asks the
+// commit log, setting *hint if the answer is committed: the only fate
+// that is final and survives truncation. A hint of seq+1 decodes back to
+// seq, InvalidSeqNo included (an xid the log resolved from below its
+// truncation floor).
+func hintedStatus(xid mvcc.TxID, hint *mvcc.SeqNo, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	if *hint != 0 {
+		return mvcc.StatusCommitted, *hint - 1
+	}
+	st, seq := mgr.Status(xid)
+	if st == mvcc.StatusCommitted {
+		*hint = seq + 1
+	}
+	return st, seq
 }
 
 // ReadResult is the outcome of a visibility-checked read.
@@ -282,7 +333,7 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 			res.Tuple = v
 			return res
 		}
-		st, seq := mgr.Status(v.Xmin)
+		st, seq := xminStatus(v, mgr)
 		switch st {
 		case mvcc.StatusAborted:
 			continue
@@ -309,7 +360,7 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 			// Deleted by ourselves.
 			return res
 		}
-		xst, xseq := mgr.Status(v.Xmax)
+		xst, xseq := xmaxStatus(v, mgr)
 		switch xst {
 		case mvcc.StatusAborted:
 			res.Tuple = v
@@ -335,27 +386,30 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 }
 
 // pruneAborted drops leading versions created by aborted transactions and
-// clears aborted xmax stamps, keeping chains tidy. Caller holds sh.mu.
+// clears aborted xmax stamps, keeping chains tidy. It writes the map only
+// when the head changes, so a read of a settled row costs one map lookup.
+// Caller holds sh.mu.
 func pruneAborted(sh *shard, key string, mgr *mvcc.Manager) *Tuple {
-	head := sh.rows[key]
+	first := sh.rows[key]
+	head := first
 	for head != nil {
-		st, _ := mgr.Status(head.Xmin)
-		if st != mvcc.StatusAborted {
+		if st, _ := xminStatus(head, mgr); st != mvcc.StatusAborted {
 			break
 		}
 		head = head.Older
 	}
 	if head == nil {
-		delete(sh.rows, key)
+		if first != nil {
+			delete(sh.rows, key)
+		}
 		return nil
 	}
-	if sh.rows[key] != head {
+	if head != first {
 		sh.rows[key] = head
 	}
 	if head.Xmax != 0 {
-		if st, _ := mgr.Status(head.Xmax); st == mvcc.StatusAborted {
-			head.Xmax = 0
-			head.SubMax = 0
+		if st, _ := xmaxStatus(head, mgr); st == mvcc.StatusAborted {
+			head.setXmax(0, 0)
 		}
 	}
 	return head
@@ -554,7 +608,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 		sh.mu.Lock()
 		head := pruneAborted(sh, key, mgr)
 		if head == nil {
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage()}
+			nv := &Tuple{Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage()}
 			sh.rows[key] = nv
 			sh.mu.Unlock()
 			return WriteResult{OldPage: -1, NewPage: nv.Page}, nil
@@ -564,12 +618,12 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 		if head.Xmin == xid && head.Xmax == xid {
 			// We deleted our own version earlier; re-inserting is
 			// allowed and creates a fresh version.
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
+			nv := &Tuple{Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
 			sh.rows[key] = nv
 			sh.mu.Unlock()
 			return WriteResult{OldPage: head.Page, NewPage: nv.Page}, nil
 		}
-		st, seq := mgr.Status(head.Xmin)
+		st, seq := xminStatus(head, mgr)
 		if st == mvcc.StatusInProgress && head.Xmin != xid {
 			holder := head.Xmin
 			sh.mu.Unlock()
@@ -592,7 +646,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 			return WriteResult{}, ErrDuplicateKey
 		}
 		if head.Xmax != 0 && head.Xmax != xid {
-			if xst, _ := mgr.Status(head.Xmax); xst == mvcc.StatusInProgress {
+			if xst, _ := xmaxStatus(head, mgr); xst == mvcc.StatusInProgress {
 				holder := head.Xmax
 				sh.mu.Unlock()
 				if err := t.waitFor(xid, holder, mgr, wg); err != nil {
@@ -602,7 +656,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 			}
 		}
 		// Row is dead for everyone relevant: safe to create anew.
-		nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
+		nv := &Tuple{Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
 		sh.rows[key] = nv
 		sh.mu.Unlock()
 		return WriteResult{OldPage: head.Page, NewPage: nv.Page}, nil
@@ -660,7 +714,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		// If the newest version belongs to an in-progress concurrent
 		// transaction, that transaction holds the tuple write lock.
 		if head.Xmin != xid {
-			if st, _ := mgr.Status(head.Xmin); st == mvcc.StatusInProgress {
+			if st, _ := xminStatus(head, mgr); st == mvcc.StatusInProgress {
 				holder := head.Xmin
 				sh.mu.Unlock()
 				release()
@@ -676,13 +730,13 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			// transaction owns the newest version, this is a
 			// first-updater-wins conflict; otherwise the row is
 			// simply absent.
-			if st, seq := mgr.Status(head.Xmin); head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+			if st, seq := xminStatus(head, mgr); head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
 				sh.mu.Unlock()
 				release()
 				return WriteResult{}, ErrWriteConflict
 			}
 			if head.Xmax != 0 && head.Xmax != xid {
-				if xst, xseq := mgr.Status(head.Xmax); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
+				if xst, xseq := xmaxStatus(head, mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
 					sh.mu.Unlock()
 					release()
 					return WriteResult{}, ErrWriteConflict
@@ -703,7 +757,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			return WriteResult{}, ErrWriteConflict
 		}
 		if v.Xmax != 0 && v.Xmax != xid {
-			xst, _ := mgr.Status(v.Xmax)
+			xst, _ := xmaxStatus(v, mgr)
 			switch xst {
 			case mvcc.StatusInProgress:
 				holder := v.Xmax
@@ -720,8 +774,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 				release()
 				return WriteResult{}, ErrWriteConflict
 			case mvcc.StatusAborted:
-				v.Xmax = 0
-				v.SubMax = 0
+				v.setXmax(0, 0)
 			}
 		}
 		// We hold the tuple: latch the superseded version's page
@@ -748,11 +801,10 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 				held = latch
 			}
 		}
-		v.Xmax = xid
-		v.SubMax = subID
+		v.setXmax(xid, subID)
 		wr := WriteResult{OldPage: v.Page, NewPage: -1}
 		if !del {
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: v}
+			nv := &Tuple{Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: v}
 			sh.rows[key] = nv
 			wr.NewPage = nv.Page
 		}
@@ -800,8 +852,7 @@ func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
 	}
 	sh.rows[key] = head
 	if head.Xmax == xid && head.SubMax >= subID {
-		head.Xmax = 0
-		head.SubMax = 0
+		head.setXmax(0, 0)
 	}
 }
 
@@ -809,25 +860,27 @@ func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
 // unspecified order. It returns the union of conflict-out transactions
 // observed. Full-table (sequential) scans go through this path; ordered
 // scans go through the B+-tree index instead.
-func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(tu *Tuple) bool) []mvcc.TxID {
+func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(key string, tu *Tuple) bool) []mvcc.TxID {
 	var conflicts []mvcc.TxID
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		type visible struct{ tu *Tuple }
+		type visible struct {
+			key string
+			tu  *Tuple
+		}
 		var out []visible
 		for key, head := range sh.rows {
-			_ = key
 			res := readChain(head, snap, self, mgr)
 			conflicts = append(conflicts, res.ConflictOut...)
 			if res.Tuple != nil {
-				out = append(out, visible{res.Tuple})
+				out = append(out, visible{key, res.Tuple})
 			}
 		}
 		sh.mu.Unlock()
 		for _, v := range out {
 			t.simulateIO()
-			if !fn(v.tu) {
+			if !fn(v.key, v.tu) {
 				return conflicts
 			}
 		}
@@ -865,7 +918,7 @@ func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 			// versions older than it are unreachable.
 			cut := head
 			for cut != nil {
-				if mgr.Visible(cut.Xmin, horizon) {
+				if st, seq := xminStatus(cut, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(cut.Xmin, seq) {
 					break
 				}
 				cut = cut.Older
@@ -879,7 +932,7 @@ func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 			// If the sole remaining version is a committed delete
 			// visible to everyone, drop the row entirely.
 			if head.Older == nil && head.Xmax != 0 {
-				if st, seq := mgr.Status(head.Xmax); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
+				if st, seq := xmaxStatus(head, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
 					delete(sh.rows, key)
 					removed++
 				}

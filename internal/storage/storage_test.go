@@ -12,13 +12,13 @@ import (
 )
 
 type harness struct {
-	t   *testing.T
+	t   testing.TB
 	mgr *mvcc.Manager
 	tbl *Table
 	wg  *waitgraph.Graph
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	return &harness{t: t, mgr: mvcc.NewManager(), tbl: NewTable("t", Config{}), wg: waitgraph.New()}
 }
 
@@ -303,7 +303,7 @@ func TestForEachVisibility(t *testing.T) {
 	_ = h.insert(w, "uncommitted", "v")
 	r := h.begin()
 	n := 0
-	h.tbl.ForEach(r.snap, r.xid, h.mgr, func(tu *Tuple) bool { n++; return true })
+	h.tbl.ForEach(r.snap, r.xid, h.mgr, func(string, *Tuple) bool { n++; return true })
 	if n != 20 {
 		t.Fatalf("visible rows = %d, want 20", n)
 	}

@@ -524,8 +524,8 @@ func (tx *Tx) SeqScan(table string, fn func(key string, value []byte) bool) erro
 			return mapStorageErr(err)
 		}
 		snap := tx.db.mvcc.TakeSnapshot()
-		ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(tu *storageTuple) bool {
-			return fn(tu.Key, tu.Value)
+		ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(key string, tu *storageTuple) bool {
+			return fn(key, tu.Value)
 		})
 		return nil
 	}
@@ -533,8 +533,8 @@ func (tx *Tx) SeqScan(table string, fn func(key string, value []byte) bool) erro
 	if tx.x != nil && !tx.x.Safe() {
 		tx.db.ssi.AcquireRelationLock(tx.x, table)
 	}
-	conflicts := ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(tu *storageTuple) bool {
-		return fn(tu.Key, tu.Value)
+	conflicts := ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(key string, tu *storageTuple) bool {
+		return fn(key, tu.Value)
 	})
 	if tx.x != nil {
 		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
