@@ -406,66 +406,54 @@ func BenchmarkScanParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotParallel measures snapshot-path contention: parallel
-// workers run single-read transactions — every transaction pays one
-// Begin, one TakeSnapshot, one visibility-checked read, and one Commit —
-// while a pool of long-running transactions stays open, so the legacy
-// representation pays its O(active) in-progress copy under the global
-// MVCC mutex on every snapshot and the CSN representation pays one
-// atomic load. The csn/legacy pair is the A/B for the
-// DisableCSNSnapshots ablation; the nightly workflow archives this
-// benchmark with a mutex profile next to the lock-contention and
-// lifecycle ones.
+// BenchmarkSnapshotParallel measures the snapshot path under load:
+// parallel workers run single-read transactions — every transaction pays
+// one Begin, one TakeSnapshot, one visibility-checked read, and one
+// Commit — while a pool of 64 long-running transactions stays open. It is
+// the snapshot path's regression tracker (TakeSnapshot is one atomic load
+// under no mutex, whatever the active set); the nightly workflow archives
+// it with a mutex profile next to the lock-contention and lifecycle
+// benchmarks.
 func BenchmarkSnapshotParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  pgssi.Config
-	}{
-		{"csn", pgssi.Config{}},
-		{"legacy", pgssi.Config{DisableCSNSnapshots: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db := pgssi.Open(mode.cfg)
-			si := workload.SIBench{Rows: 1000}
-			if err := si.Setup(db); err != nil {
-				b.Fatal(err)
+	db := pgssi.Open(pgssi.Config{})
+	si := workload.SIBench{Rows: 1000}
+	if err := si.Setup(db); err != nil {
+		b.Fatal(err)
+	}
+	// A standing pool of open transactions: the active set a snapshot
+	// must stay independent of.
+	const pinned = 64
+	pins := make([]*pgssi.Tx, pinned)
+	for i := range pins {
+		tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pins[i] = tx
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			if err != nil {
+				b.Error(err)
+				return
 			}
-			// A standing pool of open transactions: the active set the
-			// legacy snapshot copies on every statement.
-			const pinned = 64
-			pins := make([]*pgssi.Tx, pinned)
-			for i := range pins {
-				tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pins[i] = tx
+			i++
+			if _, err := tx.Get("sibench", fmt.Sprintf("k%06d", i%1000)); err != nil {
+				b.Error(err)
+				return
 			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-					if _, err := tx.Get("sibench", fmt.Sprintf("k%06d", i%1000)); err != nil {
-						b.Error(err)
-						return
-					}
-					if err := tx.Commit(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			for _, tx := range pins {
-				tx.Rollback()
+			if err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
 			}
-		})
+		}
+	})
+	b.StopTimer()
+	for _, tx := range pins {
+		tx.Rollback()
 	}
 }
 

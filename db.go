@@ -161,13 +161,6 @@ type Config struct {
 	// DisableLifecycleFencing). Test-only interleaving hook.
 	OnPreCommit func(xid uint64)
 
-	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
-	// MVCC snapshot representation instead of the default CSN scheme:
-	// every TakeSnapshot copies the active-transaction set under a
-	// global mutex that Begin/Commit/Abort serialize on, where a CSN
-	// snapshot is a single atomic counter read (see internal/mvcc).
-	// Ablation knob for A/B benchmarking; semantics are identical.
-	DisableCSNSnapshots bool
 	// DisableCSNFencing reopens the window between a commit's CSN
 	// assignment and its commit-log publication, which the CSN scheme
 	// normally fences into one atomic step (see internal/mvcc).
@@ -176,8 +169,7 @@ type Config struct {
 	// it in production.
 	DisableCSNFencing bool
 	// OnCSNPublish, if non-nil, is invoked during every commit at the
-	// CSN assignment→publication window (CSN snapshot mode only; never
-	// called with DisableCSNSnapshots). Fenced, the window is
+	// CSN assignment→publication window. Fenced, the window is
 	// degenerate: the hook runs immediately before the atomic
 	// assignment+publication step and seq is 0 — no CSN exists yet.
 	// With DisableCSNFencing it runs inside the reopened window and seq
@@ -239,10 +231,7 @@ func (c Config) storageConfig() storage.Config {
 }
 
 func (c Config) mvccConfig() mvcc.Config {
-	cfg := mvcc.Config{
-		DisableCSNSnapshots: c.DisableCSNSnapshots,
-		DisableCSNFencing:   c.DisableCSNFencing,
-	}
+	cfg := mvcc.Config{DisableCSNFencing: c.DisableCSNFencing}
 	if h := c.OnCSNPublish; h != nil {
 		cfg.OnCSNPublish = func(xid mvcc.TxID, seq mvcc.SeqNo) { h(uint64(xid), uint64(seq)) }
 	}

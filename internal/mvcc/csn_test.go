@@ -11,30 +11,45 @@ import (
 // commit-publication window (fenced and ablated), Status below the
 // truncation floor, own-xid visibility, CSN monotonicity under
 // concurrency, done-channel wakeup ordering, AutoTruncate's horizon, and
-// the legacy path's shared-mode snapshot lock.
-
-// bothModes runs f against a CSN-mode and a legacy-mode manager; the
-// snapshot semantics the engine relies on must hold identically.
-func bothModes(t *testing.T, f func(t *testing.T, m *Manager)) {
-	t.Helper()
-	t.Run("csn", func(t *testing.T) { f(t, New(Config{})) })
-	t.Run("legacy", func(t *testing.T) { f(t, New(Config{DisableCSNSnapshots: true})) })
-}
+// the mutex-free snapshot path.
 
 func TestOwnXIDNeverVisible(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
-		self := m.Begin()
-		snap := m.TakeSnapshot()
-		if snap.Sees(self) {
-			t.Fatal("snapshot must not see the caller's own in-progress xid")
+	m := New(Config{})
+	self := m.Begin()
+	snap := m.TakeSnapshot()
+	if snap.Sees(self) {
+		t.Fatal("snapshot must not see the caller's own in-progress xid")
+	}
+}
+
+// TestTakeSnapshotTakesNoMutex pins the CSN scheme's headline: the
+// snapshot path is one atomic load. The test goroutine holds every
+// Manager mutex exclusively — truncMu, beginMu and each commit-log
+// shard's — and a TakeSnapshot on another goroutine must still return,
+// carrying the current CSN.
+func TestTakeSnapshotTakesNoMutex(t *testing.T) {
+	m := New(Config{})
+	want := m.Commit(m.Begin())
+	m.truncMu.Lock()
+	m.beginMu.Lock()
+	for i := range m.shards {
+		m.shards[i].mu.Lock()
+	}
+	got := make(chan *Snapshot, 1)
+	go func() { got <- m.TakeSnapshot() }()
+	select {
+	case snap := <-got:
+		if snap.SeqNo != want {
+			t.Errorf("snapshot CSN = %d, want %d", snap.SeqNo, want)
 		}
-		if m.Visible(self, snap) {
-			t.Fatal("Visible must be false for the caller's own xid")
-		}
-		if !snap.ConcurrentWith(self) {
-			t.Fatal("own in-progress xid is concurrent with the snapshot")
-		}
-	})
+	case <-time.After(5 * time.Second):
+		t.Error("TakeSnapshot blocked while truncMu, beginMu and every commit-log shard were held: the snapshot path takes a mutex")
+	}
+	for i := range m.shards {
+		m.shards[i].mu.Unlock()
+	}
+	m.beginMu.Unlock()
+	m.truncMu.Unlock()
 }
 
 // TestStatusBelowFloorAfterTruncation pins the truncated-region
@@ -43,56 +58,52 @@ func TestOwnXIDNeverVisible(t *testing.T) {
 // resolve aborted, and DropAbortedBelow removes the tombstones once the
 // caller vouches the heap holds no reference.
 func TestStatusBelowFloorAfterTruncation(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
-		var committed, aborted []TxID
-		for i := 0; i < 6; i++ {
-			x := m.Begin()
-			if i%2 == 0 {
-				m.Commit(x)
-				committed = append(committed, x)
-			} else {
-				m.Abort(x)
-				aborted = append(aborted, x)
-			}
+	m := New(Config{})
+	var committed, aborted []TxID
+	for i := 0; i < 6; i++ {
+		x := m.Begin()
+		if i%2 == 0 {
+			m.Commit(x)
+			committed = append(committed, x)
+		} else {
+			m.Abort(x)
+			aborted = append(aborted, x)
 		}
-		floor := m.NextXID()
-		m.TruncateLog(floor)
-		for _, x := range committed {
-			if st, seq := m.Status(x); st != StatusCommitted || seq != InvalidSeqNo {
-				t.Fatalf("truncated committed xid %d: status %v seq %d, want committed/invalid", x, st, seq)
-			}
-			if !m.IsCommitted(x) {
-				t.Fatalf("truncated committed xid %d must stay committed", x)
-			}
+	}
+	floor := m.NextXID()
+	m.TruncateLog(floor)
+	for _, x := range committed {
+		if st, seq := m.Status(x); st != StatusCommitted || seq != InvalidSeqNo {
+			t.Fatalf("truncated committed xid %d: status %v seq %d, want committed/invalid", x, st, seq)
 		}
-		for _, x := range aborted {
-			if st, _ := m.Status(x); st != StatusAborted {
-				t.Fatalf("aborted tombstone %d below floor: status %v, want aborted", x, st)
-			}
+	}
+	for _, x := range aborted {
+		if st, _ := m.Status(x); st != StatusAborted {
+			t.Fatalf("aborted tombstone %d below floor: status %v, want aborted", x, st)
 		}
-		if got, want := m.LogSize(), len(aborted); got != want {
-			t.Fatalf("log size after truncation = %d, want %d tombstones", got, want)
+	}
+	if got, want := m.LogSize(), len(aborted); got != want {
+		t.Fatalf("log size after truncation = %d, want %d tombstones", got, want)
+	}
+	// A current snapshot sees truncated committed xids, never the
+	// aborted tombstones.
+	snap := m.TakeSnapshot()
+	for _, x := range committed {
+		if !snap.Sees(x) {
+			t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
 		}
-		// A current snapshot sees truncated committed xids, never the
-		// aborted tombstones.
-		snap := m.TakeSnapshot()
-		for _, x := range committed {
-			if !m.Visible(x, snap) {
-				t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
-			}
+	}
+	for _, x := range aborted {
+		if snap.Sees(x) {
+			t.Fatalf("aborted tombstone %d visible", x)
 		}
-		for _, x := range aborted {
-			if m.Visible(x, snap) {
-				t.Fatalf("aborted tombstone %d visible", x)
-			}
-		}
-		if n := m.DropAbortedBelow(floor); n != len(aborted) {
-			t.Fatalf("DropAbortedBelow removed %d, want %d", n, len(aborted))
-		}
-		if m.LogSize() != 0 {
-			t.Fatalf("log size after tombstone drop = %d, want 0", m.LogSize())
-		}
-	})
+	}
+	if n := m.DropAbortedBelow(floor); n != len(aborted) {
+		t.Fatalf("DropAbortedBelow removed %d, want %d", n, len(aborted))
+	}
+	if m.LogSize() != 0 {
+		t.Fatalf("log size after tombstone drop = %d, want 0", m.LogSize())
+	}
 }
 
 // TestTruncateLogIdempotentAndMonotone: lowering the floor is a no-op.
@@ -237,32 +248,31 @@ func TestCSNMonotonicUnderConcurrency(t *testing.T) {
 // taken at wakeup sees it, and Status resolves it committed with a CSN
 // at or below that snapshot's.
 func TestDoneClosesOnlyAfterCommitVisible(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
-		for i := 0; i < 200; i++ {
-			x := m.Begin()
-			done := m.Done(x)
-			errc := make(chan string, 1)
-			go func() {
-				<-done
-				snap := m.TakeSnapshot()
-				st, seq := m.Status(x)
-				switch {
-				case st != StatusCommitted:
-					errc <- "woken waiter saw status " + st.String()
-				case seq > snap.SeqNo:
-					errc <- "woken waiter's snapshot predates the commit"
-				case !snap.Sees(x):
-					errc <- "woken waiter's snapshot does not see the commit"
-				default:
-					errc <- ""
-				}
-			}()
-			m.Commit(x)
-			if msg := <-errc; msg != "" {
-				t.Fatalf("iteration %d: %s", i, msg)
+	m := New(Config{})
+	for i := 0; i < 200; i++ {
+		x := m.Begin()
+		done := m.Done(x)
+		errc := make(chan string, 1)
+		go func() {
+			<-done
+			snap := m.TakeSnapshot()
+			st, seq := m.Status(x)
+			switch {
+			case st != StatusCommitted:
+				errc <- "woken waiter saw status " + st.String()
+			case seq > snap.SeqNo:
+				errc <- "woken waiter's snapshot predates the commit"
+			case !snap.Sees(x):
+				errc <- "woken waiter's snapshot does not see the commit"
+			default:
+				errc <- ""
 			}
+		}()
+		m.Commit(x)
+		if msg := <-errc; msg != "" {
+			t.Fatalf("iteration %d: %s", i, msg)
 		}
-	})
+	}
 }
 
 // TestCSNPublicationWindowFenced parks a committer between CSN
@@ -289,9 +299,6 @@ func TestCSNPublicationWindowFenced(t *testing.T) {
 	snap := m.TakeSnapshot()
 	if snap.Sees(x) {
 		t.Fatal("snapshot in the publication window must not see the unpublished commit")
-	}
-	if !snap.ConcurrentWith(x) {
-		t.Fatal("unpublished commit must still test concurrent")
 	}
 	close(release)
 	seq := <-committed
@@ -344,78 +351,4 @@ func TestCSNPublicationWindowTornWithoutFencing(t *testing.T) {
 	}
 	// With fencing this flip is impossible; the engine-level harness in
 	// the root package shows the resulting torn read on real rows.
-}
-
-// TestLegacySnapshotTakesSharedLock pins the satellite bugfix: the
-// legacy TakeSnapshot only reads, so it must hold the global mutex in
-// shared mode. The test parks one snapshotter inside the critical
-// section and requires a second snapshot to complete meanwhile — under
-// the old exclusive lock this deadlocks.
-func TestLegacySnapshotTakesSharedLock(t *testing.T) {
-	m := New(Config{DisableCSNSnapshots: true})
-	m.Begin()
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	var armed atomic.Bool
-	armed.Store(true)
-	m.testSnapshotHook = func() {
-		if armed.CompareAndSwap(true, false) {
-			close(parked)
-			<-release
-		}
-	}
-	go m.TakeSnapshot()
-	<-parked
-
-	second := make(chan *Snapshot, 1)
-	go func() { second <- m.TakeSnapshot() }()
-	select {
-	case snap := <-second:
-		if len(snap.InProgress) != 1 {
-			t.Fatalf("overlapping snapshot content wrong: %d in-progress, want 1", len(snap.InProgress))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("second legacy TakeSnapshot blocked behind a parked one: snapshot path holds the write lock")
-	}
-	close(release)
-}
-
-// TestLegacySnapshotStillExcludesRacingBegin: the shared-mode snapshot
-// must stay consistent with exclusive-mode Begin — no xid may appear
-// assigned-but-untracked to a snapshot.
-func TestLegacySnapshotConsistentUnderLoad(t *testing.T) {
-	m := New(Config{DisableCSNSnapshots: true})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				x := m.Begin()
-				m.Commit(x)
-			}
-		}()
-	}
-	for i := 0; i < 2000; i++ {
-		snap := m.TakeSnapshot()
-		// Legacy invariant: every xid in [Xmin, Xmax) not in
-		// InProgress must have finished; a committed one must be
-		// visible.
-		for xid := snap.Xmin; xid < snap.Xmax; xid++ {
-			if _, inProg := snap.InProgress[xid]; inProg {
-				continue
-			}
-			if st, _ := m.Status(xid); st == StatusInProgress {
-				t.Fatalf("snapshot %d claims xid %d finished but it is in progress", i, xid)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -9,14 +9,14 @@
 // in which transactions committed, and safe-snapshot detection compares a
 // transaction's commit against another's snapshot time.
 //
-// # Snapshot representations
+// # Snapshots
 //
-// The default snapshot is CSN-based, the direction PostgreSQL's own
-// CSN-snapshot work takes to shrink ProcArrayLock: a snapshot is nothing
-// but the value of the commit-sequence counter at the instant it was
-// taken, and "xid is visible" means "xid's commit CSN is known and <= the
-// snapshot CSN" — a lookup in a sharded commit log. Taking a snapshot is
-// a single atomic load; Begin and Commit touch only one commit-log shard
+// Snapshots are CSN-based, the direction PostgreSQL's own CSN-snapshot
+// work takes to shrink ProcArrayLock: a snapshot is nothing but the value
+// of the commit-sequence counter at the instant it was taken, and "xid is
+// visible" means "xid's commit CSN is known and <= the snapshot CSN" — a
+// lookup in a sharded commit log. Taking a snapshot is a single atomic
+// load under no mutex; Begin and Commit touch only one commit-log shard
 // plus a handful of atomics; no global mutex exists on any lifecycle
 // path.
 //
@@ -34,11 +34,6 @@
 // moves the CSN increment out of the critical section, reopening the
 // assignment→publication window; Config.OnCSNPublish parks a committer
 // deterministically at the window's location (degenerate when fenced).
-//
-// The legacy xmin/xmax/in-progress-set representation is kept behind
-// Config.DisableCSNSnapshots for ablation and A/B benchmarking: there,
-// TakeSnapshot copies the whole active set (O(active)) under a global
-// reader/writer mutex that every Begin/Commit/Abort takes exclusively.
 //
 // # Commit-log truncation
 //
@@ -112,19 +107,14 @@ func (s Status) String() string {
 }
 
 // Config tunes a Manager. The zero value is the production configuration:
-// CSN snapshots, fencing on, 64 commit-log shards.
+// fencing on, no hooks.
 type Config struct {
-	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
-	// snapshot representation: TakeSnapshot copies the active set under
-	// a global mutex that every lifecycle operation serializes on.
-	// Ablation / A-B benchmarking knob.
-	DisableCSNSnapshots bool
-	// DisableCSNFencing (test-only, CSN mode) moves a commit's CSN
-	// assignment out of the shard critical section that publishes the
-	// commit-log record, reopening the window between the two: a
-	// snapshot taken in the window carries a CSN covering the commit but
-	// can resolve it first as in-progress and later as committed — a
-	// torn snapshot. Never set it in production.
+	// DisableCSNFencing (test-only) moves a commit's CSN assignment out
+	// of the shard critical section that publishes the commit-log
+	// record, reopening the window between the two: a snapshot taken in
+	// the window carries a CSN covering the commit but can resolve it
+	// first as in-progress and later as committed — a torn snapshot.
+	// Never set it in production.
 	DisableCSNFencing bool
 	// OnCSNPublish, if non-nil, is invoked during Commit at the
 	// assignment→publication window, with no Manager lock held: under
@@ -132,8 +122,8 @@ type Config struct {
 	// publication (seq is the assigned CSN); fenced, immediately before
 	// the atomic assignment+publication step (the window is degenerate
 	// and seq is InvalidSeqNo — no CSN exists yet). Test-only
-	// interleaving hook (CSN mode); it must not call back into lifecycle
-	// methods of the same Manager.
+	// interleaving hook; it must not call back into lifecycle methods of
+	// the same Manager.
 	OnCSNPublish func(xid TxID, seq SeqNo)
 	// OnCommitPublish, if non-nil, is invoked inside the commit
 	// publication critical section, after xid's committed fate and CSN
@@ -144,8 +134,8 @@ type Config struct {
 	// every log prefix dependency-closed. The hook must be cheap and
 	// non-blocking (no I/O, no lifecycle calls on this Manager); it runs
 	// under a commit-log shard mutex on every commit path, including the
-	// ablation modes. Set it before the Manager sees any traffic (see
-	// SetOnCommitPublish).
+	// DisableCSNFencing ablation. Set it before the Manager sees any
+	// traffic (see SetOnCommitPublish).
 	OnCommitPublish func(xid TxID, seq SeqNo)
 }
 
@@ -153,92 +143,38 @@ type Config struct {
 // of two, so shard selection is a mask).
 const logPartitions = 64
 
-// Snapshot is a consistent view of the database. In the default CSN
-// representation it is just the published commit-sequence counter value
-// at the instant it was taken (SeqNo); visibility is resolved against the
-// Manager's commit log. In the legacy representation it carries, as in
-// pre-CSN PostgreSQL, the set of transactions whose effects are visible:
-// a transaction xid's effects are visible iff xid < Xmax, xid not in
-// InProgress, and xid committed. Under both representations,
-// transactions that commit after the snapshot was taken are never seen.
+// Snapshot is a consistent view of the database: the published
+// commit-sequence counter value at the instant it was taken. Visibility
+// is resolved against the Manager's commit log; transactions that commit
+// after the snapshot was taken are never seen.
 type Snapshot struct {
-	// Xmin is the lowest transaction ID that was active when the
-	// snapshot was taken (legacy representation only). Every committed
-	// xid < Xmin is visible without consulting InProgress.
-	Xmin TxID
-	// Xmax is the first transaction ID that was unassigned when the
-	// snapshot was taken (legacy representation only).
-	Xmax TxID
-	// InProgress holds the transactions with Xmin <= xid < Xmax that
-	// were still running when the snapshot was taken (legacy
-	// representation only; nil for CSN snapshots).
-	InProgress map[TxID]struct{}
 	// SeqNo is the value of the commit-sequence counter when the
 	// snapshot was taken. A transaction T committed before this
-	// snapshot iff T's commit SeqNo <= this value. For CSN snapshots
-	// this field alone IS the snapshot.
+	// snapshot iff T's commit SeqNo <= this value. This field alone IS
+	// the snapshot.
 	SeqNo SeqNo
-	// csn, when non-nil, marks this as a CSN snapshot and names the
-	// Manager whose commit log resolves visibility lookups.
-	csn *Manager
+	// mgr is the Manager whose commit log resolves visibility lookups.
+	mgr *Manager
 }
 
-// Sees reports whether xid is in the set of transactions visible to the
-// snapshot, assuming xid ultimately committed. Callers must additionally
-// verify with the Manager that xid committed (see Manager.Visible): for a
-// CSN snapshot, Sees of an uncommitted xid is always false, but for a
-// legacy snapshot an aborted xid that finished before the snapshot still
-// tests true here.
+// Sees reports whether the effects of xid are visible to the snapshot:
+// xid committed with a CSN at or below the snapshot's. In-progress and
+// aborted xids, the caller's own included, are never seen; the storage
+// layer handles own-writes before consulting the snapshot.
 func (s *Snapshot) Sees(xid TxID) bool {
-	if s.csn != nil {
-		seq, known := s.csn.commitCSN(xid)
-		return known && seq <= s.SeqNo
-	}
-	if xid >= s.Xmax {
-		return false
-	}
-	if xid < s.Xmin {
-		return true
-	}
-	_, active := s.InProgress[xid]
-	return !active
+	st, seq := s.mgr.Status(xid)
+	return st == StatusCommitted && s.SeesCommitted(seq)
 }
 
 // SeesCommitted reports whether a transaction already known committed,
 // with commit sequence number seq (InvalidSeqNo when unknown because the
 // entry was truncated below the log floor — then the commit predates
 // every live snapshot), is visible to the snapshot. It is the fast path
-// for callers that just resolved xid's fate via Manager.Status: a CSN
-// snapshot answers from seq alone instead of paying a second commit-log
-// lookup for the same xid.
-func (s *Snapshot) SeesCommitted(xid TxID, seq SeqNo) bool {
-	if s.csn != nil {
-		return seq == InvalidSeqNo || seq <= s.SeqNo
-	}
-	return s.Sees(xid)
-}
-
-// ConcurrentWith reports whether xid was in flight when the snapshot was
-// taken — i.e. the snapshot does not include it even if it later
-// committed. This is the "concurrent transaction" test used throughout
-// the SSI layer: rw-antidependencies occur only between concurrent
-// transactions (Corollary 2 of the paper). For a CSN snapshot the rule
-// is exactly "commit CSN unknown or greater than the snapshot CSN"; note
-// that an *aborted* xid therefore always tests concurrent under CSN
-// (its commit CSN never becomes known), while legacy snapshots report an
-// xid that aborted before the snapshot as not concurrent. The SSI layer
-// only applies this test to in-progress or committed writers, where the
-// two representations agree.
-func (s *Snapshot) ConcurrentWith(xid TxID) bool {
-	if s.csn != nil {
-		seq, known := s.csn.commitCSN(xid)
-		return !known || seq > s.SeqNo
-	}
-	if xid >= s.Xmax {
-		return true
-	}
-	_, active := s.InProgress[xid]
-	return active
+// for callers that just resolved an xid's fate via Manager.Status (or a
+// cached hint): it answers from seq alone, without a second commit-log
+// lookup.
+func (s *Snapshot) SeesCommitted(seq SeqNo) bool {
+	return seq == InvalidSeqNo || seq <= s.SeqNo
 }
 
 // txRecord is a commit-log entry: one transaction's fate, its commit CSN
@@ -272,9 +208,9 @@ type logShard struct {
 // blocks on a transaction's xid lock.
 //
 // Lock levels (all leaves with respect to the engine's locks, see
-// internal/core/partition.go): mu (legacy mode only) > one logShard.mu;
-// truncMu serializes truncations and orders before shard mutexes. CSN
-// mode never takes mu.
+// internal/core/partition.go): truncMu serializes truncations and orders
+// before beginMu, which orders before one logShard.mu. TakeSnapshot
+// takes none of them.
 type Manager struct {
 	cfg    Config
 	shards []logShard
@@ -293,10 +229,10 @@ type Manager struct {
 	// activeCount counts in-progress transactions.
 	activeCount atomic.Int64
 
-	// truncMu serializes TruncateLog/AutoTruncate passes. The three
-	// mutexes below are level-ordered (trunc < begin < global <
-	// logShard) and ssilint machine-checks that order; the canonical
-	// table is in docs/invariants.md.
+	// truncMu serializes TruncateLog/AutoTruncate passes. The mutexes
+	// are level-ordered (trunc < begin < logShard) and ssilint
+	// machine-checks that order; the canonical table is in
+	// docs/invariants.md.
 	truncMu sync.Mutex //ssi:lock level=10 name=mvcc.trunc
 
 	// beginMu fences Begin's xid-assignment→shard-registration window.
@@ -308,16 +244,6 @@ type Manager struct {
 	// scan while holding an xid below the bound, and truncation floors
 	// derived from the scan could pass an active transaction).
 	beginMu sync.RWMutex //ssi:lock level=20 name=mvcc.begin
-
-	// mu is the legacy-mode global snapshot mutex: with
-	// DisableCSNSnapshots, Begin/Commit/Abort hold it exclusively and
-	// TakeSnapshot holds it shared (it only reads — see the RLock note
-	// on TakeSnapshot). Unused in CSN mode.
-	mu sync.RWMutex //ssi:lock level=30 name=mvcc.global
-	// testSnapshotHook, if non-nil, runs inside the legacy TakeSnapshot
-	// critical section (white-box test hook pinning the shared-lock
-	// behaviour).
-	testSnapshotHook func()
 }
 
 // New returns a Manager with the given configuration. The first assigned
@@ -332,8 +258,7 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// NewManager returns a Manager with the default (CSN-snapshot)
-// configuration.
+// NewManager returns a Manager with the default configuration.
 func NewManager() *Manager {
 	return New(Config{})
 }
@@ -351,23 +276,9 @@ func (m *Manager) lookup(xid TxID) *txRecord {
 	return rec
 }
 
-// commitCSN returns xid's commit CSN and whether it is known committed.
-// Absent entries below the truncation floor are committed with an
-// unknown (but necessarily snapshot-visible) CSN, reported as
-// InvalidSeqNo — Status owns that resolution, including the
-// re-read-floor-after-miss dance against concurrent truncation.
-func (m *Manager) commitCSN(xid TxID) (SeqNo, bool) {
-	st, seq := m.Status(xid)
-	return seq, st == StatusCommitted
-}
-
-// Begin assigns a new transaction ID and marks it in progress. In CSN
-// mode it touches one commit-log shard and two atomics; no global mutex.
+// Begin assigns a new transaction ID and marks it in progress. It touches
+// one commit-log shard and two atomics; no global mutex.
 func (m *Manager) Begin() TxID {
-	if m.cfg.DisableCSNSnapshots {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	m.beginMu.RLock()
 	xid := TxID(m.lastXID.Add(1))
 	rec := &txRecord{
@@ -394,40 +305,9 @@ func (m *Manager) Begin() TxID {
 // caller's own xid if it has one; storage-level visibility checks treat a
 // transaction's own writes specially.
 //
-// In CSN mode this is a single atomic load of the CSN counter.
-// In legacy mode it copies the active set under the global mutex in
-// SHARED mode: the copy only reads, and every mutation of the active set
-// or the counters holds the mutex exclusively, so concurrent snapshots
-// may overlap each other (they previously serialized on the write lock
-// for no reason).
+// It is a single atomic load of the CSN counter and takes no mutex.
 func (m *Manager) TakeSnapshot() *Snapshot {
-	if !m.cfg.DisableCSNSnapshots {
-		return &Snapshot{SeqNo: SeqNo(m.assignedSeq.Load()), csn: m}
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.testSnapshotHook != nil {
-		m.testSnapshotHook()
-	}
-	next := TxID(m.lastXID.Load()) + 1
-	snap := &Snapshot{
-		Xmin:       next,
-		Xmax:       next,
-		InProgress: make(map[TxID]struct{}, m.activeCount.Load()),
-		SeqNo:      SeqNo(m.assignedSeq.Load()),
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for xid := range sh.active {
-			if xid < snap.Xmin {
-				snap.Xmin = xid
-			}
-			snap.InProgress[xid] = struct{}{}
-		}
-		sh.mu.RUnlock()
-	}
-	return snap
+	return &Snapshot{SeqNo: SeqNo(m.assignedSeq.Load()), mgr: m}
 }
 
 // finishableLocked returns xid's record if it can be committed or
@@ -457,9 +337,9 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 // Commit marks xid committed, assigns it the next commit sequence number,
 // and wakes any waiters. It returns the assigned sequence number.
 //
-// CSN-mode ordering: inside the commit-log shard's single critical
-// section, validate the record, increment the CSN counter, AND publish
-// (xid → CSN, committed); then close the done channel. That atomicity is
+// Ordering: inside the commit-log shard's single critical section,
+// validate the record, increment the CSN counter, AND publish (xid →
+// CSN, committed); then close the done channel. That atomicity is
 // what makes a snapshot all-or-nothing: a snapshot whose CSN covers this
 // commit observed the counter increment, so its commit-log lookup —
 // behind the shard's read lock — cannot run before the record write in
@@ -469,16 +349,6 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 func (m *Manager) Commit(xid TxID) SeqNo {
 	sh := m.shard(xid)
 	switch {
-	case m.cfg.DisableCSNSnapshots:
-		// Deferred so the double-finish panic in finishableLocked does
-		// not leak the global mutex to a recovering caller.
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		sh.mu.Lock()
-		rec := finishableLocked(sh, xid, "Commit")
-		seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
-		m.finishCommit(rec)
-		return seq
 	case m.cfg.DisableCSNFencing:
 		// Ablation: CSN assigned outside the publication critical
 		// section; a snapshot taken in between covers the commit but
@@ -538,10 +408,6 @@ func (m *Manager) finishCommit(rec *txRecord) {
 // Abort marks xid aborted and wakes any waiters.
 func (m *Manager) Abort(xid TxID) {
 	sh := m.shard(xid)
-	if m.cfg.DisableCSNSnapshots {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	sh.mu.Lock()
 	rec := finishableLocked(sh, xid, "Abort")
 	rec.status = StatusAborted
@@ -575,12 +441,6 @@ func (m *Manager) Status(xid TxID) (Status, SeqNo) {
 	return st, seq
 }
 
-// IsCommitted reports whether xid committed.
-func (m *Manager) IsCommitted(xid TxID) bool {
-	st, _ := m.Status(xid)
-	return st == StatusCommitted
-}
-
 // CommitSeq returns xid's commit sequence number, or InvalidSeqNo if xid
 // has not committed (or committed below the truncation floor).
 func (m *Manager) CommitSeq(xid TxID) SeqNo {
@@ -589,15 +449,6 @@ func (m *Manager) CommitSeq(xid TxID) SeqNo {
 		return InvalidSeqNo
 	}
 	return seq
-}
-
-// Visible reports whether the effects of xid are visible to snap: xid is
-// in the snapshot's visible set and xid committed. A transaction's own
-// xid is never Visible (it is in progress while it runs); the storage
-// layer handles own-writes before consulting the snapshot.
-func (m *Manager) Visible(xid TxID, snap *Snapshot) bool {
-	st, seq := m.Status(xid)
-	return st == StatusCommitted && snap.SeesCommitted(xid, seq)
 }
 
 // Done returns a channel that is closed when xid commits or aborts.
@@ -617,20 +468,6 @@ func (m *Manager) Done(xid TxID) <-chan struct{} {
 // ActiveCount returns the number of in-progress transactions.
 func (m *Manager) ActiveCount() int {
 	return int(m.activeCount.Load())
-}
-
-// ActiveXIDs returns the in-progress transaction IDs in unspecified order.
-func (m *Manager) ActiveXIDs() []TxID {
-	xids := make([]TxID, 0, m.activeCount.Load())
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for xid := range sh.active {
-			xids = append(xids, xid)
-		}
-		sh.mu.RUnlock()
-	}
-	return xids
 }
 
 // CurrentSeq returns the current value of the commit-sequence counter:
@@ -724,9 +561,9 @@ func (m *Manager) TruncateLog(floor TxID) {
 	if floor <= TxID(m.logFloor.Load()) {
 		return
 	}
-	// Raise the floor before deleting: a concurrent Status/commitCSN
-	// that misses a just-deleted record re-reads the floor and resolves
-	// it committed.
+	// Raise the floor before deleting: a concurrent Status that misses
+	// a just-deleted record re-reads the floor and resolves it
+	// committed.
 	m.logFloor.Store(uint64(floor))
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -795,9 +632,9 @@ scan:
 	if floor == start {
 		return start
 	}
-	// Raise the floor before deleting: a concurrent Status/commitCSN
-	// that misses a just-deleted record re-reads the floor and resolves
-	// it committed.
+	// Raise the floor before deleting: a concurrent Status that misses
+	// a just-deleted record re-reads the floor and resolves it
+	// committed.
 	m.logFloor.Store(uint64(floor))
 	for _, xid := range victims {
 		sh := m.shard(xid)

