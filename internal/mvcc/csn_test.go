@@ -13,13 +13,21 @@ import (
 // concurrency, done-channel wakeup ordering, AutoTruncate's horizon, and
 // the mutex-free snapshot path.
 
+// csnSubtest runs f against a fresh Manager in a subtest named "csn",
+// the snapshot scheme every Manager uses.
+func csnSubtest(t *testing.T, f func(t *testing.T, m *Manager)) {
+	t.Helper()
+	t.Run("csn", func(t *testing.T) { f(t, New(Config{})) })
+}
+
 func TestOwnXIDNeverVisible(t *testing.T) {
-	m := New(Config{})
-	self := m.Begin()
-	snap := m.TakeSnapshot()
-	if snap.Sees(self) {
-		t.Fatal("snapshot must not see the caller's own in-progress xid")
-	}
+	csnSubtest(t, func(t *testing.T, m *Manager) {
+		self := m.Begin()
+		snap := m.TakeSnapshot()
+		if snap.Sees(self) {
+			t.Fatal("snapshot must not see the caller's own in-progress xid")
+		}
+	})
 }
 
 // TestTakeSnapshotTakesNoMutex pins the CSN scheme's headline: the
@@ -58,52 +66,53 @@ func TestTakeSnapshotTakesNoMutex(t *testing.T) {
 // resolve aborted, and DropAbortedBelow removes the tombstones once the
 // caller vouches the heap holds no reference.
 func TestStatusBelowFloorAfterTruncation(t *testing.T) {
-	m := New(Config{})
-	var committed, aborted []TxID
-	for i := 0; i < 6; i++ {
-		x := m.Begin()
-		if i%2 == 0 {
-			m.Commit(x)
-			committed = append(committed, x)
-		} else {
-			m.Abort(x)
-			aborted = append(aborted, x)
+	csnSubtest(t, func(t *testing.T, m *Manager) {
+		var committed, aborted []TxID
+		for i := 0; i < 6; i++ {
+			x := m.Begin()
+			if i%2 == 0 {
+				m.Commit(x)
+				committed = append(committed, x)
+			} else {
+				m.Abort(x)
+				aborted = append(aborted, x)
+			}
 		}
-	}
-	floor := m.NextXID()
-	m.TruncateLog(floor)
-	for _, x := range committed {
-		if st, seq := m.Status(x); st != StatusCommitted || seq != InvalidSeqNo {
-			t.Fatalf("truncated committed xid %d: status %v seq %d, want committed/invalid", x, st, seq)
+		floor := m.NextXID()
+		m.TruncateLog(floor)
+		for _, x := range committed {
+			if st, seq := m.Status(x); st != StatusCommitted || seq != InvalidSeqNo {
+				t.Fatalf("truncated committed xid %d: status %v seq %d, want committed/invalid", x, st, seq)
+			}
 		}
-	}
-	for _, x := range aborted {
-		if st, _ := m.Status(x); st != StatusAborted {
-			t.Fatalf("aborted tombstone %d below floor: status %v, want aborted", x, st)
+		for _, x := range aborted {
+			if st, _ := m.Status(x); st != StatusAborted {
+				t.Fatalf("aborted tombstone %d below floor: status %v, want aborted", x, st)
+			}
 		}
-	}
-	if got, want := m.LogSize(), len(aborted); got != want {
-		t.Fatalf("log size after truncation = %d, want %d tombstones", got, want)
-	}
-	// A current snapshot sees truncated committed xids, never the
-	// aborted tombstones.
-	snap := m.TakeSnapshot()
-	for _, x := range committed {
-		if !snap.Sees(x) {
-			t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
+		if got, want := m.LogSize(), len(aborted); got != want {
+			t.Fatalf("log size after truncation = %d, want %d tombstones", got, want)
 		}
-	}
-	for _, x := range aborted {
-		if snap.Sees(x) {
-			t.Fatalf("aborted tombstone %d visible", x)
+		// A current snapshot sees truncated committed xids, never the
+		// aborted tombstones.
+		snap := m.TakeSnapshot()
+		for _, x := range committed {
+			if !snap.Sees(x) {
+				t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
+			}
 		}
-	}
-	if n := m.DropAbortedBelow(floor); n != len(aborted) {
-		t.Fatalf("DropAbortedBelow removed %d, want %d", n, len(aborted))
-	}
-	if m.LogSize() != 0 {
-		t.Fatalf("log size after tombstone drop = %d, want 0", m.LogSize())
-	}
+		for _, x := range aborted {
+			if snap.Sees(x) {
+				t.Fatalf("aborted tombstone %d visible", x)
+			}
+		}
+		if n := m.DropAbortedBelow(floor); n != len(aborted) {
+			t.Fatalf("DropAbortedBelow removed %d, want %d", n, len(aborted))
+		}
+		if m.LogSize() != 0 {
+			t.Fatalf("log size after tombstone drop = %d, want 0", m.LogSize())
+		}
+	})
 }
 
 // TestTruncateLogIdempotentAndMonotone: lowering the floor is a no-op.
@@ -248,31 +257,32 @@ func TestCSNMonotonicUnderConcurrency(t *testing.T) {
 // taken at wakeup sees it, and Status resolves it committed with a CSN
 // at or below that snapshot's.
 func TestDoneClosesOnlyAfterCommitVisible(t *testing.T) {
-	m := New(Config{})
-	for i := 0; i < 200; i++ {
-		x := m.Begin()
-		done := m.Done(x)
-		errc := make(chan string, 1)
-		go func() {
-			<-done
-			snap := m.TakeSnapshot()
-			st, seq := m.Status(x)
-			switch {
-			case st != StatusCommitted:
-				errc <- "woken waiter saw status " + st.String()
-			case seq > snap.SeqNo:
-				errc <- "woken waiter's snapshot predates the commit"
-			case !snap.Sees(x):
-				errc <- "woken waiter's snapshot does not see the commit"
-			default:
-				errc <- ""
+	csnSubtest(t, func(t *testing.T, m *Manager) {
+		for i := 0; i < 200; i++ {
+			x := m.Begin()
+			done := m.Done(x)
+			errc := make(chan string, 1)
+			go func() {
+				<-done
+				snap := m.TakeSnapshot()
+				st, seq := m.Status(x)
+				switch {
+				case st != StatusCommitted:
+					errc <- "woken waiter saw status " + st.String()
+				case seq > snap.SeqNo:
+					errc <- "woken waiter's snapshot predates the commit"
+				case !snap.Sees(x):
+					errc <- "woken waiter's snapshot does not see the commit"
+				default:
+					errc <- ""
+				}
+			}()
+			m.Commit(x)
+			if msg := <-errc; msg != "" {
+				t.Fatalf("iteration %d: %s", i, msg)
 			}
-		}()
-		m.Commit(x)
-		if msg := <-errc; msg != "" {
-			t.Fatalf("iteration %d: %s", i, msg)
 		}
-	}
+	})
 }
 
 // TestCSNPublicationWindowFenced parks a committer between CSN
