@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -119,26 +120,43 @@ func TestDBT2AllTransactionTypesExecute(t *testing.T) {
 
 func TestDBT2SerializationFailureRateIsLow(t *testing.T) {
 	// §8.2: "in all cases, the serialization failure rate was under
-	// 0.25%" on the paper's disk-bound runs; the in-memory standard
-	// mix stays well under 1%. Allow slack for a tiny dataset (much
-	// hotter than 25 warehouses): typical runs sit around 1–2%, but
-	// under the race detector's ~10x slowdown transactions overlap far
-	// more and 4–5.5% is routine (measured across PRs 4–5), so the
-	// bound guards against an order-of-magnitude regression, not
-	// scheduler noise.
+	// 0.25%" on the paper's disk-bound runs with 25 warehouses; this
+	// dataset has 2, so every district row is far hotter.
+	//
+	// The bound covers only the aborts SSI adds: transactions doomed by
+	// a dangerous structure (core.Stats.DangerousAborts), as a share of
+	// all attempts. The other failures are snapshot isolation's own
+	// first-updater-wins conflicts, plus a few deadlocks. RepeatableRead
+	// pays them too (its DangerousAborts stay 0), and their share grows
+	// with how many of the 4 workers really run in parallel: RR fails
+	// 1.4–1.8% at GOMAXPROCS=1, 3.4–7.3% at 2 or 4, and 8–9% under the
+	// race detector. They are not SSI's cost, so they are logged but not
+	// bounded. The SSI share measured 0.6–7.2% at GOMAXPROCS 1 to 4 and
+	// under -race; the 10% bound guards against an order-of-magnitude
+	// regression, not scheduler noise.
 	db := pgssi.Open(pgssi.Config{})
 	b := DefaultDBT2(2)
 	if err := b.Setup(db); err != nil {
 		t.Fatal(err)
 	}
+	before := db.SSIStats()
 	res := RunClosedLoop(db, b.Mix(0.08), RunOptions{
 		Level: pgssi.Serializable, Workers: 4, Duration: time.Second, Seed: 7,
 	})
+	dangerous := db.SSIStats().DangerousAborts - before.DangerousAborts
+	var ssiRate, restRate float64
+	if total := res.Committed + res.Aborted; total > 0 {
+		ssiRate = float64(dangerous) / float64(total)
+		restRate = float64(res.Aborted-dangerous) / float64(total)
+	}
+	t.Logf("GOMAXPROCS=%d: %d committed, %d aborted: total %.2f%%, dangerous structure %.2f%%, first-updater-wins and deadlock %.2f%%",
+		runtime.GOMAXPROCS(0), res.Committed, res.Aborted,
+		100*res.FailureRate, 100*ssiRate, 100*restRate)
 	if res.Errors != 0 {
 		t.Fatalf("%d hard errors", res.Errors)
 	}
-	if res.FailureRate > 0.10 {
-		t.Fatalf("serialization failure rate %.2f%% unexpectedly high", 100*res.FailureRate)
+	if ssiRate > 0.10 {
+		t.Fatalf("SSI dangerous-structure abort rate %.2f%% unexpectedly high", 100*ssiRate)
 	}
 }
 
